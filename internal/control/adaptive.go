@@ -16,6 +16,12 @@ import (
 // confirmation/cooldown hysteresis the deployment decision uses, so one
 // bursty window cannot thrash the policy, and every applied retune is
 // journaled with the signal that drove it.
+//
+// Since the engine's executors flush their peers when they run dry
+// (engine.executor.nextBatch), FlushInterval is only a backstop and the
+// tighten branch no longer lowers an idle stream's latency: it merely
+// walks a widened policy back. Journal format and /status fields are
+// unchanged.
 
 // FlushOptions tune the adaptive flush tuner. The zero value disables
 // it.

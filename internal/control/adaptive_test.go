@@ -1,9 +1,12 @@
 package control
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/locastream/locastream/internal/topology"
 )
 
 // fakeFlushEngine records flush-policy retunes and applies the
@@ -192,5 +195,76 @@ func TestControllerAdaptiveFlushLoop(t *testing.T) {
 	}
 	if retuned != 1 {
 		t.Fatalf("journal holds %d retuned entries, want 1", retuned)
+	}
+}
+
+// TestControllerRetuneRacesIdleHints runs the tuner's retunes against
+// the executors' idle flush hints on a real TCP fabric: bursts separated
+// by drains swing the in-flight depth across both watermarks, so ticks
+// widen and tighten the policy while hints stage batches underneath.
+// A batch lost to the race would show as a missing count (or a Drain
+// that never returns); one staged twice as a surplus.
+func TestControllerRetuneRacesIdleHints(t *testing.T) {
+	const (
+		keys   = 16
+		bursts = 150
+		burst  = 4 * keys
+	)
+	h := newHarnessOn(t, 4, nil, true)
+	c := newTestController(t, h, Options{
+		MinGain: 2, // never deploy: the stream stays on hash routing, mostly remote
+		Flush:   FlushOptions{Enabled: true, HighWater: 1, Confirm: 1, Cooldown: 0},
+	})
+	c.AttachFlushEngine(h.live)
+
+	streamed := make(chan struct{})
+	go func() {
+		defer close(streamed)
+		for i := 0; i < bursts*burst; i++ {
+			k := strconv.Itoa(i % keys)
+			if err := h.live.Inject(topology.Tuple{Values: []string{k, "t" + k}}); err != nil {
+				t.Error(err)
+				return
+			}
+			if (i+1)%burst == 0 {
+				h.live.Drain()
+			}
+		}
+	}()
+	for streaming := true; streaming; {
+		select {
+		case <-streamed:
+			streaming = false
+		default:
+			c.Tick()
+		}
+	}
+
+	var total uint64
+	for inst := 0; inst < 4; inst++ {
+		if err := h.live.ProcessorState("B", inst, func(p topology.Processor) {
+			cnt := p.(*topology.Counter)
+			for _, k := range cnt.StateKeys() {
+				if got := cnt.Count(k); got != bursts*burst/keys {
+					t.Errorf("B[%d] counted %q %d times, want %d", inst, k, got, bursts*burst/keys)
+				}
+			}
+			total += cnt.TotalCount()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if total != bursts*burst {
+		t.Fatalf("B counted %d tuples, want %d", total, bursts*burst)
+	}
+	if lost := h.live.TuplesLost(); lost != 0 {
+		t.Fatalf("TuplesLost = %d, want 0", lost)
+	}
+	ws := h.live.WireStats()
+	if ws.TuplesSent == 0 || ws.TuplesSent != ws.TuplesReceived {
+		t.Fatalf("wire sent %d tuples, received %d", ws.TuplesSent, ws.TuplesReceived)
+	}
+	if ws.FlushIdle == 0 || ws.FlushRetunes == 0 {
+		t.Fatalf("idle flushes %d, retunes %d: the race was not exercised", ws.FlushIdle, ws.FlushRetunes)
 	}
 }

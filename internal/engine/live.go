@@ -156,6 +156,9 @@ type Live struct {
 	// its node closes can never be delivered and is settled as loss
 	// (KillServer); at every other time the counter is only monitoring.
 	wireOut []atomic.Int64
+	// wireRuns recycles deliverWireBatch's per-frame scratch (*[]message)
+	// across the transport's reader goroutines.
+	wireRuns sync.Pool
 
 	srcSeq atomic.Uint64
 }
@@ -342,6 +345,9 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 				propagatesNeeded: needed,
 			}
 			insts[i].emitFn = insts[i].emit
+			if cfg.TCPTransport {
+				insts[i].wireMarked = make([]bool, cfg.Placement.Servers())
+			}
 			insts[i].buf.SetLimit(cfg.MaxBuffered)
 			insts[i].box.trackDepth = cfg.KeySplitting
 			// Stateful executors track which keys changed since the last
@@ -472,7 +478,11 @@ func (l *Live) deliverWireBatch(node int, msgs []transport.Message) {
 	// corrupt-address drop, or killed-mailbox loss — each settles the
 	// in-flight count on its own path).
 	l.wireOut[node].Add(-int64(len(msgs)))
-	var run []message
+	scratch, _ := l.wireRuns.Get().(*[]message)
+	if scratch == nil {
+		scratch = new([]message)
+	}
+	run := *scratch
 	for i := 0; i < len(msgs); {
 		to := msgs[i].To
 		j := i + 1
@@ -500,8 +510,13 @@ func (l *Live) deliverWireBatch(node int, msgs []transport.Message) {
 			// senders already counted these tuples in flight.
 			l.noteWireDataDrops(j - i)
 		}
+		// The mailbox copied the run; drop its payload references before
+		// the scratch is kept for a later frame.
+		clear(run)
 		i = j
 	}
+	*scratch = run[:0]
+	l.wireRuns.Put(scratch)
 }
 
 // noteWireDataDrops settles the accounting for data tuples that made it
@@ -1040,6 +1055,14 @@ type executor struct {
 	propagatesNeeded int
 	propagated       bool
 
+	// wirePeers lists the peer servers this executor has encoded tuples
+	// for since its last flush hint (wireMarked[s] keeps it duplicate-
+	// free; nil without a fabric). The tuples may still sit in the
+	// transport's pending batches, so the executor hints those peers
+	// before it parks — see nextBatch.
+	wirePeers  []int
+	wireMarked []bool
+
 	processed atomic.Uint64
 }
 
@@ -1050,7 +1073,7 @@ func (e *executor) run() {
 	track := e.box.trackDepth
 	var buf []message
 	for {
-		batch, ok := e.box.getBatch(buf)
+		batch, ok := e.nextBatch(buf)
 		if !ok {
 			return
 		}
@@ -1064,6 +1087,36 @@ func (e *executor) run() {
 			batch[i] = message{}
 		}
 		buf = batch
+	}
+}
+
+// nextBatch is getBatch made work-conserving towards the wire: an
+// executor about to park with tuples of its own still batched in the
+// transport tells those connections that nothing more is coming
+// (FlushIdle), so a tuple never waits out the flush timer over an idle
+// socket. While the mailbox has work the hint is withheld and the
+// batches keep growing; the hint lives here, not in the transport's
+// Send, because only the executor knows whether the tuple it just sent
+// is the last of a burst or the first.
+func (e *executor) nextBatch(buf []message) ([]message, bool) {
+	if len(e.wirePeers) > 0 {
+		if batch := e.box.tryGetBatch(buf); batch != nil {
+			return batch, true
+		}
+		for _, s := range e.wirePeers {
+			e.eng.fabric.FlushIdle(e.server, s)
+			e.wireMarked[s] = false
+		}
+		e.wirePeers = e.wirePeers[:0]
+	}
+	return e.box.getBatch(buf)
+}
+
+// sentWire records that a tuple for server s entered the transport.
+func (e *executor) sentWire(s int) {
+	if !e.wireMarked[s] {
+		e.wireMarked[s] = true
+		e.wirePeers = append(e.wirePeers, s)
 	}
 }
 
@@ -1129,6 +1182,7 @@ func (e *executor) forwardDemoted(owner int, msg message) {
 	toServer := e.eng.place.ServerOf(e.op.Name, owner)
 	if e.eng.fabric != nil && toServer != e.server &&
 		e.eng.sendWire(e.op.Name, owner, e.server, toServer, msg) {
+		e.sentWire(toServer)
 		return
 	}
 	if !e.eng.execs[e.op.Name][owner].box.put(msg) {
@@ -1191,6 +1245,7 @@ func (e *executor) forward(re *resolvedEdge, keyOp, key string, out topology.Tup
 	msg := message{kind: msgData, tuple: out, keyOp: nextKeyOp, key: nextKey}
 	if !re.sameServer[target] && e.eng.fabric != nil &&
 		e.eng.sendWire(re.to, target, e.server, re.server[target], msg) {
+		e.sentWire(re.server[target])
 		return
 	}
 	// A rejected put means the recipient died (killed server): settle the

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/locastream/locastream/internal/routing"
 	"github.com/locastream/locastream/internal/topology"
@@ -12,6 +13,13 @@ import (
 )
 
 func newTCPLive(t testing.TB, parallelism int, mode FieldsMode) *Live {
+	t.Helper()
+	return newTCPLiveWith(t, parallelism, mode, 0, 0)
+}
+
+// newTCPLiveWith is newTCPLive with the transport's flush thresholds
+// seeded (zeros take the defaults).
+func newTCPLiveWith(t testing.TB, parallelism int, mode FieldsMode, flushBytes int, flushInterval time.Duration) *Live {
 	t.Helper()
 	topo, place := paperTopology(t, parallelism)
 	policies, err := NewPolicies(topo, place, mode)
@@ -30,12 +38,89 @@ func newTCPLive(t testing.TB, parallelism int, mode FieldsMode) *Live {
 		SourceKeyField: 0,
 		SketchCapacity: 1024,
 		TCPTransport:   true,
+		FlushBytes:     flushBytes,
+		FlushInterval:  flushInterval,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(live.Stop)
 	return live
+}
+
+// TestTCPLiveIdleFlushNeedsNoTimer is the proof that no tuple waits on
+// an idle wire: with the backstop timer an hour away and the size
+// threshold out of reach, every A-to-B hop of a worst-case-routed
+// stream can only leave its sender's batch through the executors' idle
+// hints — so Drain returning at all, with exact counts, is the property.
+func TestTCPLiveIdleFlushNeedsNoTimer(t *testing.T) {
+	const (
+		parallelism = 4
+		keys        = 64
+		perKey      = 64
+		n           = keys * perKey
+	)
+	live := newTCPLiveWith(t, parallelism, FieldsWorstCase, transport.MaxFlushBytes, time.Hour)
+	for i := 0; i < n; i++ {
+		k := strconv.Itoa(i % keys)
+		if err := live.Inject(topology.Tuple{Values: []string{"a" + k, "b" + k}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drained := make(chan struct{})
+	go func() {
+		live.Drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(30 * time.Second):
+		t.Errorf("Drain still waiting: %d tuples sit in batches only the timer would flush",
+			live.StatsSnapshot().InFlight)
+		// Push them out with control frames so the cleanup's Stop returns.
+		for from := 0; from < parallelism; from++ {
+			for to := 0; to < parallelism; to++ {
+				if to != from {
+					_ = live.fabric.Send(from, to, transport.Message{Kind: transport.KindHeartbeat, From: from})
+				}
+			}
+		}
+		<-drained
+	}
+
+	for _, spec := range []struct{ op, prefix string }{{"A", "a"}, {"B", "b"}} {
+		counts := make(map[string]uint64, keys)
+		for inst := 0; inst < parallelism; inst++ {
+			if err := live.ProcessorState(spec.op, inst, func(p topology.Processor) {
+				c := p.(*topology.Counter)
+				for _, k := range c.StateKeys() {
+					counts[k] += c.Count(k)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(counts) != keys {
+			t.Fatalf("%s holds %d keys, want %d", spec.op, len(counts), keys)
+		}
+		for i := 0; i < keys; i++ {
+			if k := spec.prefix + strconv.Itoa(i); counts[k] != perKey {
+				t.Fatalf("%s counted %q %d times, want %d", spec.op, k, counts[k], perKey)
+			}
+		}
+	}
+	if tr := live.FieldsTraffic(); tr.RemoteTuples != n {
+		t.Fatalf("%d of %d A-to-B hops crossed the wire; worst-case routing must send all", tr.RemoteTuples, n)
+	}
+	if lost := live.TuplesLost(); lost != 0 {
+		t.Fatalf("TuplesLost = %d, want 0", lost)
+	}
+	assertNoWireDrops(t, live)
+	ws := live.WireStats()
+	if ws.TuplesSent != n || ws.FlushIdle == 0 || ws.FlushTimer != 0 || ws.FlushSize != 0 {
+		t.Fatalf("wire sent %d tuples in idle/timer/size frames %d/%d/%d, want %d in idle frames only",
+			ws.TuplesSent, ws.FlushIdle, ws.FlushTimer, ws.FlushSize, n)
+	}
 }
 
 func TestTCPLiveProcessesAllTuples(t *testing.T) {

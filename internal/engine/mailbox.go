@@ -110,6 +110,22 @@ func (m *mailbox) getBatch(buf []message) (batch []message, ok bool) {
 	return batch, true
 }
 
+// tryGetBatch is getBatch without the wait: it returns nil where
+// getBatch would park (or report the mailbox closed), leaving buf with
+// the caller. The executor uses it to learn that it has run out of work
+// while tuples it sent still sit in the transport's batches.
+func (m *mailbox) tryGetBatch(buf []message) []message {
+	m.mu.Lock()
+	batch := m.items
+	if len(batch) == 0 {
+		m.mu.Unlock()
+		return nil
+	}
+	m.items = buf[:0]
+	m.mu.Unlock()
+	return batch
+}
+
 // get dequeues a single message, blocking until one is available or the
 // mailbox is closed (ok == false). The executor hot path uses getBatch;
 // get remains for tests and single-message call sites.

@@ -18,6 +18,9 @@ const (
 	FlushControl
 	// FlushClose: the node shut down and drained its pending batch.
 	FlushClose
+	// FlushIdle: a sender that ran out of work hinted that nothing more
+	// is coming, so the batch went out without waiting for the timer.
+	FlushIdle
 )
 
 // NumWireTiers is the number of locality tiers the wire meter accounts
@@ -47,12 +50,13 @@ type WireStats struct {
 	ControlSent      uint64 `json:"control_sent"`
 	ControlBytesSent uint64 `json:"control_bytes_sent"`
 
-	// FlushSize/FlushTimer/FlushControl/FlushClose count data-frame
-	// flushes by reason; their sum equals FramesSent.
+	// FlushSize/FlushTimer/FlushControl/FlushClose/FlushIdle count
+	// data-frame flushes by reason; their sum equals FramesSent.
 	FlushSize    uint64 `json:"flush_size"`
 	FlushTimer   uint64 `json:"flush_timer"`
 	FlushControl uint64 `json:"flush_control"`
 	FlushClose   uint64 `json:"flush_close"`
+	FlushIdle    uint64 `json:"flush_idle"`
 
 	// TierTuplesSent/TierBytesSent break the sent data frames down by
 	// locality tier of the (sender, receiver) pair — same server, same
@@ -204,6 +208,7 @@ type WireMeter struct {
 	flushTimer   atomic.Uint64
 	flushControl atomic.Uint64
 	flushClose   atomic.Uint64
+	flushIdle    atomic.Uint64
 
 	tierTuplesSent [NumWireTiers]atomic.Uint64
 	tierBytesSent  [NumWireTiers]atomic.Uint64
@@ -254,6 +259,8 @@ func (m *WireMeter) RecordDataFrameSent(tuples, wireBytes, rawBytes int, compres
 		m.flushControl.Add(1)
 	case FlushClose:
 		m.flushClose.Add(1)
+	case FlushIdle:
+		m.flushIdle.Add(1)
 	}
 }
 
@@ -378,6 +385,7 @@ func (m *WireMeter) Snapshot() WireStats {
 		FlushTimer:           m.flushTimer.Load(),
 		FlushControl:         m.flushControl.Load(),
 		FlushClose:           m.flushClose.Load(),
+		FlushIdle:            m.flushIdle.Load(),
 		RawBytesSent:         m.rawBytesSent.Load(),
 		CompressedFramesSent: m.compressedFramesSent.Load(),
 		DictFramesSent:       m.dictFramesSent.Load(),

@@ -3,6 +3,7 @@ package transport
 import (
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -128,6 +129,12 @@ func TestKillPeerMidFlushExactAccounting(t *testing.T) {
 			break
 		}
 		sent++
+		// Idle hints ride along: some stage a frame at once, most only mark
+		// the batch behind the stalled write, and the one pending when the
+		// deadline fires must be settled as an unstaged batch.
+		if i%3 == 0 {
+			n.FlushIdle(1)
+		}
 	}
 	if sent == 0 {
 		t.Fatal("no send was ever accepted")
@@ -151,6 +158,164 @@ func TestKillPeerMidFlushExactAccounting(t *testing.T) {
 	}
 	if flushedNet.Load() < 0 {
 		t.Fatalf("flushed sum went negative (%d): a frame was debited twice", flushedNet.Load())
+	}
+}
+
+// gatedConn parks the first Write until release is closed, which holds
+// the flusher inside a vectored write for as long as a test needs.
+type gatedConn struct {
+	net.Conn
+	enterOnce, openOnce sync.Once
+	entered             chan struct{} // closed when the first Write begins
+	release             chan struct{}
+}
+
+func (g *gatedConn) Write(p []byte) (int, error) {
+	g.enterOnce.Do(func() { close(g.entered) })
+	<-g.release
+	return g.Conn.Write(p)
+}
+
+func (g *gatedConn) open() { g.openOnce.Do(func() { close(g.release) }) }
+
+// gatedPeer connects a metered node 0 to a counting node 1 with the
+// idle hint as the only way out of a batch (no timer, no size flush, no
+// dictionary frames) and the connection's socket behind a gate.
+func gatedPeer(t *testing.T, opts NodeOptions) (n *Node, pc *peerConn, gate *gatedConn, received *atomic.Int64) {
+	t.Helper()
+	received = new(atomic.Int64)
+	recv, err := NewNode(1, func(m Message) {
+		if m.Kind == KindData {
+			received.Add(1)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(recv.Close)
+	opts.FlushInterval = time.Hour
+	opts.Compression = CompressionOff
+	n, err = NewNodeWith(0, func(Message) {}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	if err := n.Connect(map[int]string{1: recv.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	pc = (*n.peers.Load())[1]
+	pc.mu.Lock()
+	gate = &gatedConn{Conn: pc.conn, entered: make(chan struct{}), release: make(chan struct{})}
+	pc.conn = gate
+	pc.mu.Unlock()
+	t.Cleanup(gate.open) // a failing test must not leave n.Close waiting on the gate
+	return n, pc, gate, received
+}
+
+// connState reads the staging counters a hint acts on.
+func connState(pc *peerConn) (enqSeq, wroteSeq uint64, batchN int, idleHint bool) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.enqSeq, pc.wroteSeq, pc.batchN, pc.idleHint
+}
+
+func sendTuples(t *testing.T, n *Node, count int) {
+	t.Helper()
+	for i := 0; i < count; i++ {
+		if err := n.Send(1, Message{Kind: KindData, To: Addr{Op: "B"}, Key: "k", Values: []string{"v"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFlushIdleIsClockedByTheSocket pins the hint's self-clocking rule:
+// on an idle connection a hint stages exactly one frame at once; hints
+// that arrive while a write is in flight only mark the batch, which
+// keeps growing until the flusher stages it as ONE follow-up frame when
+// the write returns; and a hint with nothing batched does nothing.
+func TestFlushIdleIsClockedByTheSocket(t *testing.T) {
+	meter := new(metrics.WireMeter)
+	n, pc, gate, received := gatedPeer(t, NodeOptions{Meter: meter})
+
+	n.FlushIdle(1) // nothing batched
+	n.FlushIdle(7) // no such peer
+	if enq, _, _, hint := connState(pc); enq != 0 || hint {
+		t.Fatalf("hint on an empty batch staged %d frames (marked=%v), want a no-op", enq, hint)
+	}
+
+	sendTuples(t, n, 2)
+	n.FlushIdle(1)
+	if enq, _, batchN, hint := connState(pc); enq != 1 || batchN != 0 || hint {
+		t.Fatalf("hint on an idle connection: %d frames staged, %d tuples left, marked=%v; want 1, 0, false", enq, batchN, hint)
+	}
+	<-gate.entered // the flusher is inside its write and stays there
+
+	sendTuples(t, n, 1)
+	n.FlushIdle(1)
+	sendTuples(t, n, 2)
+	n.FlushIdle(1)
+	if enq, wrote, batchN, hint := connState(pc); enq != 1 || wrote != 0 || batchN != 3 || !hint {
+		t.Fatalf("hints during a write: staged/written %d/%d, %d tuples batched, marked=%v; want 1/0, 3, true",
+			enq, wrote, batchN, hint)
+	}
+
+	gate.open()
+	// wroteSeq advances after the meter has the write, so this also
+	// orders the snapshot below.
+	waitFor(t, "the follow-up frame", func() bool {
+		_, wrote, _, _ := connState(pc)
+		return wrote == 2 && received.Load() == 5
+	})
+	st := meter.Snapshot()
+	if st.FramesSent != 2 || st.FlushIdle != 2 || st.TuplesSent != 5 || st.WritevCalls != 2 {
+		t.Fatalf("frames/idle/tuples/writes = %d/%d/%d/%d, want 2/2/5/2 (the marked batch leaves as one frame)",
+			st.FramesSent, st.FlushIdle, st.TuplesSent, st.WritevCalls)
+	}
+	if enq, wrote, batchN, hint := connState(pc); enq != 2 || wrote != 2 || batchN != 0 || hint {
+		t.Fatalf("after the drain: staged/written %d/%d, %d tuples batched, marked=%v; want 2/2, 0, false",
+			enq, wrote, batchN, hint)
+	}
+}
+
+// TestKillPeerBetweenHintAndWrite severs the connection with one
+// idle-hinted frame in the flusher's hands and a marked batch behind
+// it: neither reached the kernel, so both are debited, each once.
+func TestKillPeerBetweenHintAndWrite(t *testing.T) {
+	var dropped, flushedNet atomic.Int64
+	n, pc, gate, received := gatedPeer(t, NodeOptions{
+		DropHandler:    func(tuples int) { dropped.Add(int64(tuples)) },
+		FlushedHandler: func(_, tuples int) { flushedNet.Add(int64(tuples)) },
+	})
+	sendTuples(t, n, 4)
+	n.FlushIdle(1)
+	<-gate.entered
+	sendTuples(t, n, 3)
+	n.FlushIdle(1)
+	if _, _, batchN, hint := connState(pc); batchN != 3 || !hint {
+		t.Fatalf("%d tuples batched, marked=%v; want 3 marked behind the write", batchN, hint)
+	}
+
+	n.DropPeer(1) // settles the marked batch; the staged frame is the flusher's
+	gate.open()
+	waitFor(t, "the flusher to settle its frame", func() bool { return dropped.Load() == 7 })
+	if flushedNet.Load() != 0 || received.Load() != 0 {
+		t.Fatalf("flushed %d, delivered %d; want 0 and 0 (the socket closed before the write)",
+			flushedNet.Load(), received.Load())
+	}
+	n.FlushIdle(1) // a late hint finds no connection
+	if dropped.Load() != 7 {
+		t.Fatalf("dropped %d after a late hint, want 7", dropped.Load())
 	}
 }
 

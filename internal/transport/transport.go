@@ -9,8 +9,10 @@
 //
 // Data tuples (KindData) are packed into per-peer batches with a compact
 // varint encoding and staged for the connection's flusher once the batch
-// reaches FlushBytes or ages past FlushInterval — the amortization
-// Storm's batched Netty transport applies to the same cost. Each
+// reaches FlushBytes, the sender reports it has run out of work
+// (FlushIdle), or — the backstop for a sender that does neither — the
+// batch ages past FlushInterval: the amortization Storm's batched Netty
+// transport applies to the same cost, without its fixed wait. Each
 // connection owns one flusher goroutine that drains every staged frame —
 // dictionary announcements, data batches, control frames — through a
 // single vectored write (net.Buffers, writev on Linux), so a flush that
@@ -23,9 +25,9 @@
 // relies on (§3.4) is preserved exactly.
 //
 // FlushBytes and FlushInterval are live-tunable (SetFlushPolicy): the
-// control plane widens batches under load and shrinks the interval when
-// the stream idles, trading latency for throughput the same way it
-// trades locality for migration cost.
+// control plane widens batches under load and walks them back when the
+// stream idles, trading latency for throughput the same way it trades
+// locality for migration cost.
 //
 // One Node is created per simulated server. Each ordered pair of nodes
 // shares one TCP connection, so messages between two servers are
@@ -179,8 +181,9 @@ type NodeOptions struct {
 	FlushBytes int
 	// FlushInterval bounds how long a pending batch waits for more
 	// tuples before being staged anyway (default DefaultFlushInterval).
-	// Batching therefore delays a tuple by at most this much; it never
-	// reorders anything. Live-tunable afterwards with SetFlushPolicy.
+	// It is the backstop for senders that never call FlushIdle: batching
+	// delays a tuple by at most this much, and never reorders anything.
+	// Live-tunable afterwards with SetFlushPolicy.
 	FlushInterval time.Duration
 
 	// Compression selects the data-frame encoding; the zero value
@@ -308,16 +311,18 @@ type queuedFrame struct {
 // created with the connection and discarded with it, so a reconnect
 // always starts from empty state on both ends.
 //
-// Lifecycle of a frame: Send appends tuples into buf under mu; a full
-// or expired batch is staged — header stamped, FlushedHandler credited,
-// appended to q — and the flusher is signalled. The flusher swaps q out
-// under mu, writes every staged frame with one vectored write outside
-// mu, then advances wroteSeq and recycles the buffers. Control senders
-// wait on cond until wroteSeq covers their frame, which keeps their
-// error reporting synchronous. Loss settlement on a broken connection
-// is exact: whoever transitions broken (flusher write error, DropPeer,
-// Close) settles the frames still in q plus the unstaged batch, and the
-// flusher settles whatever was in its hands when the write failed.
+// Lifecycle of a frame: Send appends tuples into buf under mu; a full,
+// idle-hinted or expired batch is staged — header stamped,
+// FlushedHandler credited, appended to q — and the flusher is
+// signalled. The flusher swaps q out under mu, writes every staged
+// frame with one vectored write outside mu, then advances wroteSeq,
+// recycles the buffers and stages a batch hinted meanwhile. Control
+// senders wait on cond until wroteSeq covers their frame, which keeps
+// their error reporting synchronous. Loss settlement on a broken
+// connection is exact: whoever transitions broken (flusher write error,
+// DropPeer, Close) settles the frames still in q plus the unstaged
+// batch, and the flusher settles whatever was in its hands when the
+// write failed.
 type peerConn struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signalled on q/wroteSeq/broken transitions
@@ -327,6 +332,9 @@ type peerConn struct {
 	batchN int    // tuples currently in buf
 	timer  *time.Timer
 	broken bool
+	// idleHint marks buf as hinted (FlushIdle) while frames were staged
+	// or in flight: the flusher stages it when its write returns.
+	idleHint bool
 
 	q        []queuedFrame // staged frames awaiting the flusher
 	qSpare   []queuedFrame // flusher's previous queue, reused
@@ -525,13 +533,13 @@ func (n *Node) dial(addr string) (net.Conn, error) {
 //
 // KindData messages are appended to the peer's pending batch and return
 // immediately; the batch is staged for the flusher when it reaches
-// FlushBytes, ages past FlushInterval, or a control message needs the
-// stream. Once accepted, a data tuple's fate is reported through
-// FlushedHandler/DropHandler, never through a later Send's error — Send
-// fails only when the connection is already gone. All other kinds are
-// control traffic: they stage the pending batch, then wait until their
-// own frame has been handed to the kernel, so their errors are
-// synchronous.
+// FlushBytes, the sender calls FlushIdle, it ages past FlushInterval, or
+// a control message needs the stream. Once accepted, a data tuple's fate
+// is reported through FlushedHandler/DropHandler, never through a later
+// Send's error — Send fails only when the connection is already gone.
+// All other kinds are control traffic: they stage the pending batch,
+// then wait until their own frame has been handed to the kernel, so
+// their errors are synchronous.
 //
 // With a WriteTimeout configured, a flusher write that cannot make
 // progress within the deadline fails — and the connection is dropped,
@@ -650,6 +658,10 @@ func (n *Node) stageBatchLocked(peer int, pc *peerConn, reason metrics.FlushReas
 	if pc.batchN == 0 {
 		return nil
 	}
+	// The batch leaves now, whatever asked for it: nothing is left for the
+	// backstop timer or a pending idle hint to do.
+	pc.timer.Stop()
+	pc.idleHint = false
 	if len(pc.buf)-frameHeaderLen > maxFramePayload {
 		// Unreachable with sane FlushBytes; guard anyway so a giant tuple
 		// can never emit a frame the receiver is obliged to reject.
@@ -741,6 +753,31 @@ func (n *Node) flushExpired(peer int, pc *peerConn) {
 	_ = n.stageBatchLocked(peer, pc, metrics.FlushTimer)
 }
 
+// FlushIdle is a sender's hint that it has run out of work, so the
+// tuples it batched for peer have nothing more to wait for. On a
+// connection with nothing staged or in flight the batch is staged at
+// once; otherwise it is only marked, and the flusher stages it when its
+// current write returns. The hint is thereby clocked by the socket: at
+// most one idle-flushed frame is outstanding per connection however
+// often senders go idle, and what arrives during a write leaves as one
+// frame after it. No-op on an empty batch or a missing connection.
+func (n *Node) FlushIdle(peer int) {
+	pc := (*n.peers.Load())[peer]
+	if pc == nil {
+		return
+	}
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.broken || pc.batchN == 0 {
+		return
+	}
+	if pc.enqSeq != pc.wroteSeq {
+		pc.idleHint = true
+		return
+	}
+	_ = n.stageBatchLocked(peer, pc, metrics.FlushIdle)
+}
+
 // flusher is the connection's single writer: it drains every staged
 // frame through one vectored write (writev), so a backlog of
 // dictionary announcements, data batches and control frames reaches
@@ -789,6 +826,9 @@ func (n *Node) flusher(peer int, pc *peerConn) {
 			pc.wroteSeq += uint64(len(batch))
 			for i := range batch {
 				pc.recycleBufLocked(batch[i].buf)
+			}
+			if pc.idleHint {
+				_ = n.stageBatchLocked(peer, pc, metrics.FlushIdle)
 			}
 			pc.cond.Broadcast()
 			pc.mu.Unlock()
@@ -1142,6 +1182,14 @@ func (f *Fabric) Send(from, to int, msg Message) error {
 		return fmt.Errorf("transport: invalid sender %d", from)
 	}
 	return f.nodes[from].Send(to, msg)
+}
+
+// FlushIdle passes a sender's out-of-work hint for the tuples batched
+// from one server to another (see Node.FlushIdle).
+func (f *Fabric) FlushIdle(from, to int) {
+	if from >= 0 && from < len(f.nodes) {
+		f.nodes[from].FlushIdle(to)
+	}
 }
 
 // SetFlushPolicy retunes every node's batching thresholds live (see

@@ -517,32 +517,41 @@ func TestWireMeterCounts(t *testing.T) {
 	meter := new(metrics.WireMeter)
 	var wg sync.WaitGroup
 	f, err := NewFabricWith(2, func(int, Message) { wg.Done() }, NodeOptions{
-		FlushBytes: 1 << 20, // force timer flushes
-		Meter:      meter,
+		// Size and timer out of reach: only the hint and the control send
+		// flush.
+		FlushBytes:    1 << 20,
+		FlushInterval: time.Hour,
+		Meter:         meter,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 
-	wg.Add(3)
-	for i := 0; i < 2; i++ {
+	wg.Add(4)
+	for i := 0; i < 3; i++ {
 		if err := f.Send(0, 1, Message{Kind: KindData, Key: "k"}); err != nil {
 			t.Fatal(err)
 		}
+		if i == 1 {
+			f.FlushIdle(0, 1) // two tuples leave on the hint, the third on the control send
+		}
 	}
+	// A control send returns once its frame — and so every frame before
+	// it — has been written and metered.
 	if err := f.Send(0, 1, Message{Kind: KindHeartbeat, From: 0}); err != nil {
 		t.Fatal(err)
 	}
 	waitGroupWithin(t, &wg, 5*time.Second)
 
 	st := meter.Snapshot()
-	if st.TuplesSent != 2 || st.TuplesReceived != 2 {
-		t.Fatalf("tuples sent/received = %d/%d, want 2/2", st.TuplesSent, st.TuplesReceived)
+	if st.TuplesSent != 3 || st.TuplesReceived != 3 {
+		t.Fatalf("tuples sent/received = %d/%d, want 3/3", st.TuplesSent, st.TuplesReceived)
 	}
-	if st.FramesSent == 0 || st.FramesSent != st.FlushSize+st.FlushTimer+st.FlushControl+st.FlushClose {
-		t.Fatalf("flush reasons %d+%d+%d+%d do not sum to frames %d",
-			st.FlushSize, st.FlushTimer, st.FlushControl, st.FlushClose, st.FramesSent)
+	if st.FlushIdle != 1 || st.FlushControl != 1 ||
+		st.FramesSent != st.FlushSize+st.FlushTimer+st.FlushControl+st.FlushClose+st.FlushIdle {
+		t.Fatalf("flush reasons %d+%d+%d+%d+%d (want 1 control, 1 idle) do not sum to frames %d",
+			st.FlushSize, st.FlushTimer, st.FlushControl, st.FlushClose, st.FlushIdle, st.FramesSent)
 	}
 	if st.ControlSent != 1 || st.ControlReceived != 1 {
 		t.Fatalf("control sent/received = %d/%d, want 1/1", st.ControlSent, st.ControlReceived)

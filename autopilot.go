@@ -8,7 +8,6 @@ import (
 	"github.com/locastream/locastream/internal/control"
 	"github.com/locastream/locastream/internal/core"
 	"github.com/locastream/locastream/internal/routing"
-	"github.com/locastream/locastream/internal/scale"
 )
 
 // Decision is one autopilot journal entry: what the controller did on
@@ -31,9 +30,6 @@ const (
 	Demoted  = control.ActionDemoted
 	// Scaled records an elastic-scaling operation (see WithAutoscale).
 	Scaled = control.ActionScaled
-	// Retuned records an adaptive flush policy change (see
-	// AdaptiveFlush).
-	Retuned = control.ActionRetuned
 	// Federated records a cross-cluster key migration approved by the
 	// federation layer (see WithClusters).
 	Federated = control.ActionFederated
@@ -102,23 +98,6 @@ type AutopilotOptions struct {
 	// moves use the ordinary Confirm/Cooldown, tracked per cluster.
 	FederationConfirm  int
 	FederationCooldown int
-
-	// AdaptiveFlush activates the transport flush tuner on an App built
-	// with WithTCPTransport: sustained in-flight pressure widens the
-	// wire batching policy (fewer, larger writev flushes), sustained
-	// idleness walks it back toward the latency floor. Every applied
-	// retune is journaled as a Retuned decision. No-op without a TCP
-	// fabric.
-	AdaptiveFlush bool
-	// FlushHighWater/FlushLowWater are the in-flight depths framing the
-	// tuner's dead band (defaults 4096 and HighWater/16).
-	FlushHighWater int64
-	FlushLowWater  int64
-	// FlushConfirm requires this many consecutive pressured (idle)
-	// windows before a retune (default 2); FlushCooldown skips this many
-	// ticks after one (default 2).
-	FlushConfirm  int
-	FlushCooldown int
 }
 
 // Autopilot is the application's autonomous control plane: a periodic
@@ -152,19 +131,7 @@ func (a *App) NewAutopilot(opts AutopilotOptions) (*Autopilot, error) {
 		SkipRecovery:    opts.SkipRecovery,
 	}
 	if a.keySplitting {
-		copts.Split = control.SplitOptions{
-			Enabled:   true,
-			Threshold: a.splitThreshold,
-		}
-	}
-	if opts.AdaptiveFlush {
-		copts.Flush = control.FlushOptions{
-			Enabled:   true,
-			HighWater: opts.FlushHighWater,
-			LowWater:  opts.FlushLowWater,
-			Confirm:   opts.FlushConfirm,
-			Cooldown:  opts.FlushCooldown,
-		}
+		copts.Split = control.SplitOptions{Threshold: a.splitThreshold}
 	}
 	var sink *control.JSONLSink
 	if opts.JournalPath != "" {
@@ -186,26 +153,21 @@ func (a *App) NewAutopilot(opts AutopilotOptions) (*Autopilot, error) {
 	}
 	if a.place.Clusters() > 1 && !a.clusterBlind {
 		ctl.AttachFederation(lockedManager{app: a}, control.FederationOptions{
-			Enabled:  true,
 			Clusters: a.place.Clusters(),
 			Confirm:  opts.FederationConfirm,
 			Cooldown: opts.FederationCooldown,
 		})
 	}
-	if opts.AdaptiveFlush {
-		ctl.AttachFlushEngine(a.live)
-	}
 	if a.stateStore != nil {
 		ctl.SetStateReader(stateReader{s: a.stateStore})
 	}
 	if a.autoMax > 0 && opts.ScaleTargetLoad > 0 {
-		err := ctl.AttachScaleEngine(scaleAdapter{app: a, maxMoves: opts.ScaleMaxMoves}, scale.Options{
+		err := ctl.AttachScaleEngine(scaleAdapter{app: a, maxMoves: opts.ScaleMaxMoves}, control.ScaleOptions{
 			Min:        a.autoMin,
 			Max:        a.autoMax,
 			TargetLoad: opts.ScaleTargetLoad,
 			Confirm:    opts.ScaleConfirm,
 			Cooldown:   opts.ScaleCooldown,
-			MaxMoves:   opts.ScaleMaxMoves,
 		})
 		if err != nil {
 			if sink != nil {

@@ -38,7 +38,6 @@ import (
 	"github.com/locastream/locastream/internal/engine"
 	"github.com/locastream/locastream/internal/metrics"
 	"github.com/locastream/locastream/internal/routing"
-	"github.com/locastream/locastream/internal/scale"
 )
 
 // Engine is the live-engine surface the controller measures.
@@ -94,12 +93,9 @@ type Options struct {
 	// SkipRecovery disables the constructor's re-deployment of the last
 	// persisted configuration.
 	SkipRecovery bool
-	// Split tunes the hot-key splitter; it runs only when Split.Enabled
-	// and a split engine is attached (AttachSplitEngine).
+	// Split tunes the hot-key splitter; it runs once a split engine is
+	// attached (AttachSplitEngine).
 	Split SplitOptions
-	// Flush tunes the adaptive flush tuner; it runs only when
-	// Flush.Enabled and a flush engine is attached (AttachFlushEngine).
-	Flush FlushOptions
 }
 
 func (o *Options) defaults() {
@@ -164,14 +160,6 @@ type Status struct {
 	Promotions int                   `json:"promotions"`
 	Demotions  int                   `json:"demotions"`
 
-	// Retunes counts the adaptive flush tuner's journaled policy
-	// changes; FlushBytes/FlushInterval report the transport's current
-	// batching thresholds (both zero when no flush engine is attached or
-	// the engine runs without a TCP fabric).
-	Retunes       int           `json:"retunes"`
-	FlushBytes    int           `json:"flush_bytes,omitempty"`
-	FlushInterval time.Duration `json:"flush_interval,omitempty"`
-
 	// Scale reports the elastic-scaling state (nil when no scale engine
 	// is attached); also served alone on /scale.
 	Scale *ScaleStatus `json:"scale,omitempty"`
@@ -204,8 +192,7 @@ type Controller struct {
 	sig          *signals
 	ring         *snapRing
 	version      uint64
-	streak       int
-	cooldownLeft int
+	gate         gate
 	deploys      int
 	skips        int
 	cooldowns    int
@@ -221,9 +208,7 @@ type Controller struct {
 	splitter     *splitter
 	promotions   int
 	demotions    int
-	tuner        *flushTuner
-	retunes      int
-	scaler       *scale.Scaler
+	scaler       *Scaler
 	scaleEng     ScaleEngine
 	scales       int
 	lastScale    *ScaleResult
@@ -247,6 +232,7 @@ func New(eng Engine, mgr Manager, opts Options) (*Controller, error) {
 		mgr:     mgr,
 		opts:    opts,
 		journal: NewJournal(opts.JournalCapacity, opts.Sink),
+		gate:    gate{confirm: opts.Confirm, cooldown: opts.Cooldown},
 		sig:     newSignals(opts.SmoothingAlpha),
 		ring:    newSnapRing(opts.History),
 	}
@@ -307,17 +293,16 @@ func (c *Controller) tickLocked() (Decision, Snapshot, bool) {
 		c.pausedTicks++
 		d.Action = ActionPaused
 		d.Reason = "optimization paused: failure recovery in progress"
-		d.Streak = c.streak
+		d.Streak = c.gate.streak
 		c.journal.Record(d)
 		return d, snap, false
 	}
 
-	if c.cooldownLeft > 0 {
-		c.cooldownLeft--
+	if c.gate.cool() {
 		c.cooldowns++
 		d.Action = ActionCooldown
-		d.Reason = fmt.Sprintf("post-migration cooldown, %d tick(s) left", c.cooldownLeft)
-		d.Streak = c.streak
+		d.Reason = fmt.Sprintf("post-migration cooldown, %d tick(s) left", c.gate.cooldownLeft)
+		d.Streak = c.gate.streak
 		c.journal.Record(d)
 		return d, snap, false
 	}
@@ -340,7 +325,7 @@ func (c *Controller) tickLocked() (Decision, Snapshot, bool) {
 		var err error
 		cand, err = c.mgr.Candidate()
 		if err != nil {
-			c.streak = 0
+			c.gate.reset()
 			c.errors++
 			d.Action = ActionError
 			d.Reason = "candidate computation failed"
@@ -356,33 +341,31 @@ func (c *Controller) tickLocked() (Decision, Snapshot, bool) {
 
 		switch {
 		case !cand.Impact.Worthwhile(c.opts.CostPerKey):
-			c.streak = 0
+			c.gate.observe(0)
 			c.skips++
 			d.Action = ActionSkipped
 			d.Reason = fmt.Sprintf(
 				"not worthwhile: saving %.1f tuples/period does not amortize migrating %d keys at cost %.1f/key",
 				cand.Impact.SavedTuplesPerPeriod, cand.Impact.KeysToMigrate, c.opts.CostPerKey)
 		case gain < c.opts.MinGain:
-			c.streak = 0
+			c.gate.observe(0)
 			c.skips++
 			d.Action = ActionSkipped
 			d.Reason = fmt.Sprintf("locality gain %.4f below minimum %.4f", gain, c.opts.MinGain)
+		case !c.gate.observe(+1):
+			c.skips++
+			d.Action = ActionSkipped
+			d.Reason = fmt.Sprintf("awaiting confirmation (%d/%d consecutive worthwhile windows)",
+				c.gate.streak, c.opts.Confirm)
 		default:
-			c.streak++
-			if c.streak < c.opts.Confirm {
-				c.skips++
-				d.Action = ActionSkipped
-				d.Reason = fmt.Sprintf("awaiting confirmation (%d/%d consecutive worthwhile windows)",
-					c.streak, c.opts.Confirm)
-			} else if err := c.mgr.DeployCandidate(cand); err != nil {
-				c.streak = 0
+			if err := c.mgr.DeployCandidate(cand); err != nil {
+				c.gate.reset()
 				c.errors++
 				d.Action = ActionError
 				d.Reason = "deployment failed"
 				d.Err = err.Error()
 			} else {
-				c.streak = 0
-				c.cooldownLeft = c.opts.Cooldown
+				c.gate.fire()
 				c.deploys++
 				c.version = cand.Plan.Version
 				d.Action = ActionDeployed
@@ -393,7 +376,7 @@ func (c *Controller) tickLocked() (Decision, Snapshot, bool) {
 					cand.Impact.KeysToMigrate)
 			}
 		}
-		d.Streak = c.streak
+		d.Streak = c.gate.streak
 		c.journal.Record(d)
 	}
 
@@ -402,7 +385,7 @@ func (c *Controller) tickLocked() (Decision, Snapshot, bool) {
 	// actually live, and a deployed candidate never migrates a key the
 	// same tick promoted (the candidate pinned the split set it was
 	// computed against).
-	if c.splitter != nil && c.opts.Split.Enabled && d.Action != ActionError {
+	if c.splitter != nil && d.Action != ActionError {
 		for _, sd := range c.splitter.run(cand, snap.Time, snap.Seq, c.version) {
 			switch sd.Action {
 			case ActionPromoted:
@@ -415,17 +398,6 @@ func (c *Controller) tickLocked() (Decision, Snapshot, bool) {
 			c.journal.Record(sd)
 		}
 	}
-	// The adaptive flush tuner runs after the deployment decision and
-	// the splitter: a deployed candidate floods the wire with migration
-	// snapshots, and the tuner should see that pressure in the *next*
-	// window's in-flight depth rather than retune mid-deployment on a
-	// half-collected one.
-	if c.tuner != nil && c.opts.Flush.Enabled && d.Action != ActionError {
-		if td, ok := c.tuner.run(snap, snap.Time, snap.Seq, c.version); ok {
-			c.retunes++
-			c.journal.Record(td)
-		}
-	}
 	// Elastic scaling runs last (see Tick): it sees the tick's window
 	// after the optimizer and the splitter had their say, so a scale
 	// operation's migration never interleaves with a same-tick
@@ -434,21 +406,12 @@ func (c *Controller) tickLocked() (Decision, Snapshot, bool) {
 }
 
 // AttachSplitEngine connects the hot-key splitter to the live engine's
-// split API. Without it (or with Options.Split.Enabled unset) the
-// controller never promotes or demotes keys.
+// split API; attachment is the switch — without it the controller never
+// promotes or demotes keys.
 func (c *Controller) AttachSplitEngine(eng SplitEngine) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.splitter = newSplitter(eng, c.opts.Split)
-}
-
-// AttachFlushEngine connects the adaptive flush tuner to the live
-// engine's wire flush API. Without it (or with Options.Flush.Enabled
-// unset) the controller never retunes the transport's batching policy.
-func (c *Controller) AttachFlushEngine(eng FlushEngine) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tuner = newFlushTuner(eng, c.opts.Flush)
 }
 
 // Start launches the periodic loop. It is a no-op when already running.
@@ -522,7 +485,7 @@ func (c *Controller) NoteRecovery(server int, version uint64, reason string) {
 	defer c.mu.Unlock()
 	c.paused = false
 	c.frecoveries++
-	c.streak = 0
+	c.gate.reset()
 	if version > c.version {
 		c.version = version
 	}
@@ -624,9 +587,9 @@ func (c *Controller) Status() Status {
 		Cooldowns:            c.cooldowns,
 		Errors:               c.errors,
 		Version:              c.version,
-		Streak:               c.streak,
+		Streak:               c.gate.streak,
 		Confirm:              c.opts.Confirm,
-		CooldownLeft:         c.cooldownLeft,
+		CooldownLeft:         c.gate.cooldownLeft,
 		Recovered:            c.recovered,
 		RecoveredVersion:     c.recoveredVer,
 
@@ -645,10 +608,6 @@ func (c *Controller) Status() Status {
 	}
 	if c.splitter != nil {
 		st.SplitKeys = c.splitter.eng.SplitSnapshot()
-	}
-	st.Retunes = c.retunes
-	if c.tuner != nil {
-		st.FlushBytes, st.FlushInterval = c.tuner.eng.WireFlushPolicy()
 	}
 	if snap, ok := c.ring.last(); ok {
 		st.SmoothedLocality = snap.SmoothedLocality

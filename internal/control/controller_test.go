@@ -23,13 +23,6 @@ type harness struct {
 
 func newHarness(t *testing.T, parallelism int, store core.ConfigStore) *harness {
 	t.Helper()
-	return newHarnessOn(t, parallelism, store, false)
-}
-
-// newHarnessOn is newHarness with the choice of transport: tcp routes
-// every cross-server message through the real localhost fabric.
-func newHarnessOn(t *testing.T, parallelism int, store core.ConfigStore, tcp bool) *harness {
-	t.Helper()
 	topo, err := topology.NewBuilder("eval").
 		AddOperator(topology.Operator{Name: "A", Parallelism: parallelism, Stateful: true,
 			New: func() topology.Processor { return topology.NewCounter(0) }}).
@@ -59,7 +52,6 @@ func newHarnessOn(t *testing.T, parallelism int, store core.ConfigStore, tcp boo
 		SourcePolicy:   src,
 		SourceKeyField: 0,
 		SketchCapacity: 4096,
-		TCPTransport:   tcp,
 	})
 	if err != nil {
 		t.Fatal(err)

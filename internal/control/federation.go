@@ -39,10 +39,9 @@ type FederationManager interface {
 	DeployCandidate(*core.Candidate) error
 }
 
-// FederationOptions tune the federation layer; it runs only when
-// Enabled and a federation manager is attached (AttachFederation).
+// FederationOptions tune the federation layer; it runs once a
+// federation manager is attached (AttachFederation).
 type FederationOptions struct {
-	Enabled bool
 	// Clusters is the placement's cluster count (informational, served
 	// on /status).
 	Clusters int
@@ -101,9 +100,8 @@ type FederationStatus struct {
 
 // clusterLoop is one cluster's confirm/cooldown state.
 type clusterLoop struct {
-	deploys      int
-	streak       int
-	cooldownLeft int
+	gate
+	deploys int
 }
 
 // federator holds the federation layer's state; owned by the
@@ -112,9 +110,11 @@ type federator struct {
 	mgr  FederationManager
 	opts FederationOptions
 
+	// localGate is the template every cluster loop starts from: the
+	// controller's ordinary Confirm/Cooldown.
+	localGate      gate
 	local          map[int]*clusterLoop
-	crossStreak    int
-	crossCooldown  int
+	cross          gate
 	federated      int
 	crossKeysMoved int
 	lastCrossKeys  int
@@ -122,30 +122,33 @@ type federator struct {
 	lastMult       float64
 }
 
-func newFederator(mgr FederationManager, opts FederationOptions) *federator {
+func newFederator(mgr FederationManager, opts FederationOptions, localGate gate) *federator {
 	opts.defaults()
-	return &federator{mgr: mgr, opts: opts, local: make(map[int]*clusterLoop)}
+	return &federator{
+		mgr:       mgr,
+		opts:      opts,
+		localGate: localGate,
+		local:     make(map[int]*clusterLoop),
+		cross:     gate{confirm: opts.Confirm, cooldown: opts.Cooldown},
+	}
 }
 
-func (f *federator) loop(cluster int) *clusterLoop {
-	l := f.local[cluster]
-	if l == nil {
-		l = &clusterLoop{}
-		f.local[cluster] = l
+// direction is a one-sided loop's observation: +1 for a window that makes
+// the case for acting, 0 for one that does not.
+func direction(worthwhile bool) int {
+	if worthwhile {
+		return 1
 	}
-	return l
+	return 0
 }
 
 // AttachFederation connects the federation layer to the manager's
-// federated candidate API. Without it (or with Options unset) the
+// federated candidate API; attachment is the switch — without it the
 // controller deploys global candidates exactly as before.
 func (c *Controller) AttachFederation(mgr FederationManager, opts FederationOptions) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !opts.Enabled {
-		return
-	}
-	c.fedr = newFederator(mgr, opts)
+	c.fedr = newFederator(mgr, opts, gate{confirm: c.opts.Confirm, cooldown: c.opts.Cooldown})
 }
 
 // federatedDecideLocked is the hierarchical replacement for the
@@ -174,33 +177,24 @@ func (c *Controller) federatedDecideLocked(d *Decision) (cand *core.Candidate, e
 	f.lastMult = fc.Cross.CostMultiplier
 
 	// Per-cluster loops: each cluster's local move set passes the
-	// ordinary gates with its own streak and cooldown. Clusters without
-	// local moves this window lose their streak — there is nothing for
-	// them to confirm.
-	proposed := make(map[int]bool, len(fc.Clusters))
-	approved := make(map[int]bool, len(fc.Clusters))
-	var approvedIDs []int
+	// ordinary gates with its own streak and cooldown. Every known loop
+	// sees every window: a cluster without local moves has nothing to
+	// confirm, so it loses its streak, and its cooldown ticks whether or
+	// not it proposes.
+	worthwhile := make(map[int]bool, len(fc.Clusters))
 	for _, cc := range fc.Clusters {
-		proposed[cc.Cluster] = true
-		loop := f.loop(cc.Cluster)
-		if loop.cooldownLeft > 0 {
-			loop.cooldownLeft--
-			continue
-		}
 		gain := cc.Impact.CandidateLocality - cc.Impact.CurrentLocality
-		if !cc.Impact.Worthwhile(c.opts.CostPerKey) || gain < c.opts.MinGain {
-			loop.streak = 0
-			continue
-		}
-		loop.streak++
-		if loop.streak >= c.opts.Confirm {
-			approved[cc.Cluster] = true
-			approvedIDs = append(approvedIDs, cc.Cluster)
+		worthwhile[cc.Cluster] = cc.Impact.Worthwhile(c.opts.CostPerKey) && gain >= c.opts.MinGain
+		if f.local[cc.Cluster] == nil {
+			f.local[cc.Cluster] = &clusterLoop{gate: f.localGate}
 		}
 	}
+	approved := make(map[int]bool, len(fc.Clusters))
+	var approvedIDs []int
 	for id, loop := range f.local {
-		if !proposed[id] && loop.cooldownLeft == 0 {
-			loop.streak = 0
+		if !loop.cool() && loop.observe(direction(worthwhile[id])) {
+			approved[id] = true
+			approvedIDs = append(approvedIDs, id)
 		}
 	}
 	sort.Ints(approvedIDs)
@@ -209,23 +203,14 @@ func (c *Controller) federatedDecideLocked(d *Decision) (cand *core.Candidate, e
 	// inter-cluster tuple transfers to amortize shipping their state
 	// over the metered link, at CostMultiplier times the ordinary
 	// per-key cost — and confirm it for Confirm consecutive windows.
-	approveCross := false
-	switch {
-	case f.crossCooldown > 0:
-		f.crossCooldown--
-	case fc.Cross.Worthwhile(c.opts.CostPerKey):
-		f.crossStreak++
-		approveCross = f.crossStreak >= f.opts.Confirm
-	default:
-		f.crossStreak = 0
-	}
+	approveCross := !f.cross.cool() && f.cross.observe(direction(fc.Cross.Worthwhile(c.opts.CostPerKey)))
 
 	merged := f.mgr.MergeFederated(fc, approved, approveCross)
 	if merged == nil {
 		c.skips++
 		d.Action = ActionSkipped
 		d.Reason = federationSkipReason(fc, f, c.opts.CostPerKey)
-		d.Streak = f.crossStreak
+		d.Streak = f.cross.streak
 		return fc.Global, nil
 	}
 	if err := f.mgr.DeployCandidate(merged); err != nil {
@@ -236,9 +221,9 @@ func (c *Controller) federatedDecideLocked(d *Decision) (cand *core.Candidate, e
 		// The merge was not deployed; reset the approving loops so the
 		// next window re-confirms against fresh statistics.
 		for _, id := range approvedIDs {
-			f.loop(id).streak = 0
+			f.local[id].reset()
 		}
-		f.crossStreak = 0
+		f.cross.reset()
 		return fc.Global, nil
 	}
 
@@ -251,10 +236,9 @@ func (c *Controller) federatedDecideLocked(d *Decision) (cand *core.Candidate, e
 	d.SavedTuplesPerPeriod = merged.Impact.SavedTuplesPerPeriod
 	var parts []string
 	for _, id := range approvedIDs {
-		loop := f.loop(id)
+		loop := f.local[id]
 		loop.deploys++
-		loop.streak = 0
-		loop.cooldownLeft = c.opts.Cooldown
+		loop.fire()
 		for _, cc := range fc.Clusters {
 			if cc.Cluster == id {
 				parts = append(parts, fmt.Sprintf("cluster %d: %d keys", id, cc.KeysMoved))
@@ -269,8 +253,7 @@ func (c *Controller) federatedDecideLocked(d *Decision) (cand *core.Candidate, e
 		merged.Impact.CurrentLocality, merged.Impact.CandidateLocality)
 
 	if approveCross {
-		f.crossStreak = 0
-		f.crossCooldown = f.opts.Cooldown
+		f.cross.fire()
 		f.federated++
 		f.crossKeysMoved += fc.Cross.KeysMoved
 		extra = append(extra, Decision{
@@ -289,7 +272,7 @@ func (c *Controller) federatedDecideLocked(d *Decision) (cand *core.Candidate, e
 			Signals:              d.Signals,
 		})
 	}
-	d.Streak = f.crossStreak
+	d.Streak = f.cross.streak
 	return fc.Global, extra
 }
 
@@ -303,7 +286,7 @@ func federationSkipReason(fc *core.FederatedCandidate, f *federator, costPerKey 
 	if fc.Cross.KeysMoved > 0 {
 		if fc.Cross.Worthwhile(costPerKey) {
 			fmt.Fprintf(&b, "; %d cross-cluster keys awaiting confirmation (%d/%d)",
-				fc.Cross.KeysMoved, f.crossStreak, f.opts.Confirm)
+				fc.Cross.KeysMoved, f.cross.streak, f.opts.Confirm)
 		} else {
 			fmt.Fprintf(&b,
 				"; %d cross-cluster keys held: saving %.1f inter-cluster tuples/period does not clear the %.0f× gate (threshold %.1f)",
@@ -321,9 +304,9 @@ func (f *federator) statusLocked() *FederationStatus {
 		Clusters:       f.opts.Clusters,
 		Federated:      f.federated,
 		CrossKeysMoved: f.crossKeysMoved,
-		CrossStreak:    f.crossStreak,
+		CrossStreak:    f.cross.streak,
 		Confirm:        f.opts.Confirm,
-		CooldownLeft:   f.crossCooldown,
+		CooldownLeft:   f.cross.cooldownLeft,
 		CostMultiplier: f.lastMult,
 		LastCrossKeys:  f.lastCrossKeys,
 		LastCrossSaved: f.lastCrossSaved,

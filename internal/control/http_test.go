@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -45,6 +47,58 @@ func TestHandlerStatus(t *testing.T) {
 	}
 	if st.LastDecision == nil || st.LastDecision.Action != ActionSkipped {
 		t.Fatalf("/status last decision = %+v", st.LastDecision)
+	}
+}
+
+// TestHandlerStatusKeys pins the JSON field set of /status — top level,
+// wire, scale and federation — so a refactor that claims "fields kept"
+// is checked, not trusted. The scenario attaches a scale engine and a
+// federation layer and deploys one cluster, which fills every omitempty
+// field except recovered_version, split_keys and scale.last_result.
+func TestHandlerStatusKeys(t *testing.T) {
+	c, m := newFederatedController(t, Options{}, FederationOptions{})
+	if err := c.AttachScaleEngine(&fakeScaleEngine{active: 2, capacity: 4},
+		ScaleOptions{Min: 1, Max: 4, TargetLoad: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if d := fedTick(c, m, fedWindow(0, 0, 0)); d.Action != ActionDeployed {
+		t.Fatalf("setup tick = %s (%s), want deployed", d.Action, d.Reason)
+	}
+
+	var status map[string]json.RawMessage
+	getJSON(t, c.Handler(), "/status", &status)
+	want := map[string]string{
+		"": "confirm cooldown_left cooldowns demotions deploys errors failure_recoveries failures " +
+			"federation last_decision paused paused_ticks promotions recovered running scale skips " +
+			"smoothed_locality split streak ticks version wire wire_bytes_per_tuple " +
+			"wire_compression_ratio wire_dict_hit_rate",
+		"wire": "bytes_received bytes_sent compressed_frames_received compressed_frames_sent " +
+			"control_bytes_received control_bytes_sent control_received control_sent " +
+			"dict_bytes_sent dict_entries_received dict_entries_sent dict_frames_received " +
+			"dict_frames_sent dict_hits dict_misses encode_nanos flush_close flush_control " +
+			"flush_idle flush_size flush_size_hist flush_timer frames_received frames_sent " +
+			"raw_bytes_sent tier_bytes_sent tier_tuples_sent tuples_received tuples_sent " +
+			"writev_calls writev_frames",
+		"scale": "active capacity cooldown_left max min scales streak",
+		"federation": "clusters confirm cooldown_left cost_multiplier cross_keys_moved " +
+			"cross_streak federated last_cross_keys last_cross_saved local",
+	}
+	for section, keys := range want {
+		obj := status
+		if section != "" {
+			obj = nil
+			if err := json.Unmarshal(status[section], &obj); err != nil {
+				t.Fatalf("/status %s: %v", section, err)
+			}
+		}
+		got := make([]string, 0, len(obj))
+		for k := range obj {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		if strings.Join(got, " ") != keys {
+			t.Errorf("/status %q keys:\n got %s\nwant %s", section, strings.Join(got, " "), keys)
+		}
 	}
 }
 

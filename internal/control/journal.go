@@ -45,10 +45,6 @@ const (
 	// to or removed from the cluster, with a minimal-movement
 	// repartition migrating the affected keys.
 	ActionScaled Action = "scaled"
-	// ActionRetuned records the adaptive flush tuner changing the
-	// transport's batching policy (flush bytes / flush interval) in
-	// response to sustained in-flight pressure or idleness.
-	ActionRetuned Action = "retuned"
 	// ActionFederated records a cross-cluster key migration approved by
 	// the federation layer: the inter-cluster tuple transfers it saves
 	// per period cleared the inter-cluster cost gate (100× a same-rack

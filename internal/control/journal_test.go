@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -75,6 +76,21 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 	}
 	if lines[1].Action != ActionSkipped || lines[1].Reason != "not worthwhile" {
 		t.Fatalf("line 1 = %+v", lines[1])
+	}
+}
+
+// TestJournalDecodesRetiredActions: Action is a string, so a JSONL file
+// written before the adaptive flush tuner was removed still decodes,
+// "retuned" lines included.
+func TestJournalDecodesRetiredActions(t *testing.T) {
+	line := `{"seq":7,"time":"2023-11-14T22:13:20Z","action":"retuned","reason":"widened flush policy: 65536B/1ms → 131072B/2ms (in-flight 5000 vs high 4096 / low 256)","version":3,"streak":0,"current_locality":0,"candidate_locality":0,"saved_tuples_per_period":0,"keys_to_migrate":0,"signals":{"seq":7}}`
+	var d Decision
+	if err := json.Unmarshal([]byte(line), &d); err != nil {
+		t.Fatalf("old journal line no longer decodes: %v", err)
+	}
+	if d.Action != "retuned" || d.Seq != 7 || d.Version != 3 || d.Signals.Seq != 7 ||
+		!strings.HasPrefix(d.Reason, "widened flush policy") {
+		t.Fatalf("decoded %+v", d)
 	}
 }
 

@@ -1,17 +1,13 @@
 package control
 
-import (
-	"fmt"
-
-	"github.com/locastream/locastream/internal/scale"
-)
+import "fmt"
 
 // This file is the control-plane half of elastic scaling: on every tick
 // the scaler reads the window's fields-grouped traffic from the signal
 // snapshot, and on sustained threshold crossings — with the same
 // confirmation + cooldown hysteresis the deployment decision and the
 // hot-key splitter use — drives the attached engine to a new width. The
-// decision policy itself lives in internal/scale (pure, engine-free);
+// decision policy itself is the Scaler (scaler.go: pure, engine-free);
 // this file owns the wiring, the journaling and the introspection.
 
 // ScaleEngine is the surface a scale decision drives; the App's scale
@@ -58,8 +54,8 @@ type ScaleStatus struct {
 // AttachScaleEngine connects the elastic scaler to an engine. Without
 // it the controller never resizes the cluster. Returns an error when
 // opts are unusable (zero TargetLoad, max below min).
-func (c *Controller) AttachScaleEngine(eng ScaleEngine, opts scale.Options) error {
-	sc, err := scale.NewScaler(opts)
+func (c *Controller) AttachScaleEngine(eng ScaleEngine, opts ScaleOptions) error {
+	sc, err := NewScaler(opts)
 	if err != nil {
 		return err
 	}
@@ -110,7 +106,7 @@ func (c *Controller) runScaler(snap Snapshot) {
 	}
 	// The statistics window straddles the move: restart the deployment
 	// confirmation streak like a failure recovery does.
-	c.streak = 0
+	c.gate.reset()
 	d.Action = ActionScaled
 	d.Version = c.version
 	d.KeysToMigrate = res.MovedKeys

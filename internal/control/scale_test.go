@@ -4,8 +4,6 @@ import (
 	"errors"
 	"net/http/httptest"
 	"testing"
-
-	"github.com/locastream/locastream/internal/scale"
 )
 
 // fakeScaleEngine records ScaleTo calls without a real engine: the
@@ -48,7 +46,7 @@ func TestScaleFiresOnSustainedLoad(t *testing.T) {
 	h := newHarness(t, 4, nil)
 	c := newTestController(t, h, Options{CostPerKey: 1, Confirm: 1})
 	eng := &fakeScaleEngine{active: 2, capacity: 4}
-	if err := c.AttachScaleEngine(eng, scale.Options{
+	if err := c.AttachScaleEngine(eng, ScaleOptions{
 		Min: 1, Max: 4, TargetLoad: 500, Confirm: 2, Cooldown: 1,
 	}); err != nil {
 		t.Fatal(err)
@@ -106,7 +104,7 @@ func TestScaleCooldownSuppressesBackToBackDecisions(t *testing.T) {
 	h := newHarness(t, 4, nil)
 	c := newTestController(t, h, Options{CostPerKey: 1, Confirm: 1})
 	eng := &fakeScaleEngine{active: 4, capacity: 4}
-	if err := c.AttachScaleEngine(eng, scale.Options{
+	if err := c.AttachScaleEngine(eng, ScaleOptions{
 		Min: 2, Max: 4, TargetLoad: 10000, Confirm: 1, Cooldown: 2,
 	}); err != nil {
 		t.Fatal(err)
@@ -144,7 +142,7 @@ func TestScalePausedDuringRecovery(t *testing.T) {
 	h := newHarness(t, 4, nil)
 	c := newTestController(t, h, Options{CostPerKey: 1, Confirm: 1})
 	eng := &fakeScaleEngine{active: 2, capacity: 4}
-	if err := c.AttachScaleEngine(eng, scale.Options{
+	if err := c.AttachScaleEngine(eng, ScaleOptions{
 		Min: 1, Max: 4, TargetLoad: 500, Confirm: 1, Cooldown: 0,
 	}); err != nil {
 		t.Fatal(err)
@@ -176,7 +174,7 @@ func TestScaleErrorJournaled(t *testing.T) {
 	h := newHarness(t, 4, nil)
 	c := newTestController(t, h, Options{CostPerKey: 1, Confirm: 1})
 	eng := &fakeScaleEngine{active: 2, capacity: 4, fail: true}
-	if err := c.AttachScaleEngine(eng, scale.Options{
+	if err := c.AttachScaleEngine(eng, ScaleOptions{
 		Min: 1, Max: 4, TargetLoad: 500, Confirm: 1, Cooldown: 0,
 	}); err != nil {
 		t.Fatal(err)
@@ -217,10 +215,10 @@ func TestAttachScaleEngineValidation(t *testing.T) {
 		t.Fatalf("GET /scale before attach = %d, want 404", rec.Code)
 	}
 	eng := &fakeScaleEngine{active: 1, capacity: 2}
-	if err := c.AttachScaleEngine(eng, scale.Options{Min: 1, Max: 2}); err == nil {
+	if err := c.AttachScaleEngine(eng, ScaleOptions{Min: 1, Max: 2}); err == nil {
 		t.Error("zero target load accepted")
 	}
-	if err := c.AttachScaleEngine(eng, scale.Options{Min: 3, Max: 2, TargetLoad: 10}); err == nil {
+	if err := c.AttachScaleEngine(eng, ScaleOptions{Min: 3, Max: 2, TargetLoad: 10}); err == nil {
 		t.Error("max below min accepted")
 	}
 	if st := c.ScaleStatusSnapshot(); st != nil {

@@ -1,9 +1,9 @@
-package scale
+package control
 
 import "fmt"
 
-// Options tune the Scaler's decision policy.
-type Options struct {
+// ScaleOptions tune the Scaler's decision policy.
+type ScaleOptions struct {
 	// Min and Max bound the active server count.
 	Min, Max int
 	// TargetLoad is the fields-grouped transfers per statistics window
@@ -19,12 +19,9 @@ type Options struct {
 	// (default 1, negative disables), giving migrations time to settle
 	// before the next measurement is trusted.
 	Cooldown int
-	// MaxMoves caps the voluntary key moves per scale-up step (passed
-	// through to PlanRescale; <= 0 unbounded).
-	MaxMoves int
 }
 
-func (o *Options) defaults() error {
+func (o *ScaleOptions) defaults() error {
 	if o.Min < 1 {
 		o.Min = 1
 	}
@@ -47,27 +44,25 @@ func (o *Options) defaults() error {
 
 // Scaler is the pure decision half of elastic scaling: fed one load
 // observation per statistics window, it applies threshold + confirmation
-// + cooldown hysteresis (the controller/splitter idiom) and emits the
-// width the cluster should move to. It holds no engine references — the
-// control plane owns wiring decisions to an engine. Not safe for
-// concurrent use; the controller serializes ticks.
+// + cooldown hysteresis (a gate counting growth windows up and shrink
+// windows down) and emits the width the cluster should move to. It holds
+// no engine references — scale.go wires its decisions to an engine. Not
+// safe for concurrent use; the controller serializes ticks.
 type Scaler struct {
-	opts         Options
-	upStreak     int
-	downStreak   int
-	cooldownLeft int
+	opts ScaleOptions
+	gate gate
 }
 
 // NewScaler validates opts and returns a Scaler.
-func NewScaler(opts Options) (*Scaler, error) {
+func NewScaler(opts ScaleOptions) (*Scaler, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
-	return &Scaler{opts: opts}, nil
+	return &Scaler{opts: opts, gate: gate{confirm: opts.Confirm, cooldown: opts.Cooldown}}, nil
 }
 
 // Options returns the effective (defaulted) options.
-func (s *Scaler) Options() Options { return s.opts }
+func (s *Scaler) Options() ScaleOptions { return s.opts }
 
 // Desired returns the width the observed window traffic calls for,
 // before hysteresis.
@@ -85,50 +80,33 @@ func (s *Scaler) Desired(windowTraffic uint64) int {
 // Observe feeds one statistics window. It returns (target, true) when a
 // scale decision fires this window, (0, false) otherwise. After a
 // decision the cooldown suppresses further decisions for Cooldown
-// windows and both confirmation streaks restart.
+// windows and the confirmation streak restarts.
 func (s *Scaler) Observe(windowTraffic uint64, active int) (int, bool) {
-	if s.cooldownLeft > 0 {
-		s.cooldownLeft--
+	if s.gate.cool() {
 		return 0, false
 	}
 	want := s.Desired(windowTraffic)
+	dir := 0
 	switch {
 	case want > active:
-		s.upStreak++
-		s.downStreak = 0
+		dir = 1
 	case want < active:
-		s.downStreak++
-		s.upStreak = 0
-	default:
-		s.upStreak, s.downStreak = 0, 0
+		dir = -1
+	}
+	if !s.gate.observe(dir) {
 		return 0, false
 	}
-	if s.upStreak >= s.opts.Confirm || s.downStreak >= s.opts.Confirm {
-		s.noteScaled()
-		return want, true
-	}
-	return 0, false
-}
-
-// noteScaled resets the hysteresis after a scale operation (whether
-// decided here or forced externally via App.ScaleTo).
-func (s *Scaler) noteScaled() {
-	s.upStreak, s.downStreak = 0, 0
-	s.cooldownLeft = s.opts.Cooldown
+	s.gate.fire()
+	return want, true
 }
 
 // NoteScaled informs the scaler of an externally-driven scale operation
-// so its cooldown and streaks restart.
-func (s *Scaler) NoteScaled() { s.noteScaled() }
+// (App.ScaleTo) so its cooldown and streak restart.
+func (s *Scaler) NoteScaled() { s.gate.fire() }
 
 // CooldownLeft returns the remaining cooldown windows.
-func (s *Scaler) CooldownLeft() int { return s.cooldownLeft }
+func (s *Scaler) CooldownLeft() int { return s.gate.cooldownLeft }
 
 // Streak returns the current confirmation streak: positive counts
 // consecutive windows wanting growth, negative wanting shrink.
-func (s *Scaler) Streak() int {
-	if s.downStreak > 0 {
-		return -s.downStreak
-	}
-	return s.upStreak
-}
+func (s *Scaler) Streak() int { return s.gate.streak }

@@ -1,15 +1,15 @@
-package scale
+package control
 
 import "testing"
 
 func TestScalerValidationAndDefaults(t *testing.T) {
-	if _, err := NewScaler(Options{Min: 1, Max: 4}); err == nil {
+	if _, err := NewScaler(ScaleOptions{Min: 1, Max: 4}); err == nil {
 		t.Error("zero target load accepted")
 	}
-	if _, err := NewScaler(Options{Min: 4, Max: 2, TargetLoad: 100}); err == nil {
+	if _, err := NewScaler(ScaleOptions{Min: 4, Max: 2, TargetLoad: 100}); err == nil {
 		t.Error("max below min accepted")
 	}
-	s, err := NewScaler(Options{Max: 4, TargetLoad: 100})
+	s, err := NewScaler(ScaleOptions{Max: 4, TargetLoad: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestScalerValidationAndDefaults(t *testing.T) {
 		t.Fatalf("defaults = %+v, want Min 1 Confirm 2 Cooldown 1", o)
 	}
 	// Negative cooldown means "no cooldown", not the default.
-	s, err = NewScaler(Options{Max: 4, TargetLoad: 100, Cooldown: -1})
+	s, err = NewScaler(ScaleOptions{Max: 4, TargetLoad: 100, Cooldown: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestScalerValidationAndDefaults(t *testing.T) {
 }
 
 func TestScalerDesiredClamps(t *testing.T) {
-	s, err := NewScaler(Options{Min: 2, Max: 6, TargetLoad: 100})
+	s, err := NewScaler(ScaleOptions{Min: 2, Max: 6, TargetLoad: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestScalerDesiredClamps(t *testing.T) {
 // TestScalerConfirmThenFire: a sustained overload fires only after
 // Confirm consecutive windows agree, and the fire arms the cooldown.
 func TestScalerConfirmThenFire(t *testing.T) {
-	s, err := NewScaler(Options{Min: 1, Max: 8, TargetLoad: 100, Confirm: 2, Cooldown: 1})
+	s, err := NewScaler(ScaleOptions{Min: 1, Max: 8, TargetLoad: 100, Confirm: 2, Cooldown: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestScalerConfirmThenFire(t *testing.T) {
 // TestScalerTransientSpikeSuppressed: one bursty window between calm
 // ones never fires — the equal-width window resets the streak.
 func TestScalerTransientSpikeSuppressed(t *testing.T) {
-	s, err := NewScaler(Options{Min: 1, Max: 8, TargetLoad: 100, Confirm: 2, Cooldown: 1})
+	s, err := NewScaler(ScaleOptions{Min: 1, Max: 8, TargetLoad: 100, Confirm: 2, Cooldown: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestScalerTransientSpikeSuppressed(t *testing.T) {
 // TestScalerDirectionFlipResetsStreak: an up-window followed by
 // down-windows restarts confirmation in the new direction.
 func TestScalerDirectionFlipResetsStreak(t *testing.T) {
-	s, err := NewScaler(Options{Min: 1, Max: 8, TargetLoad: 100, Confirm: 2, Cooldown: 1})
+	s, err := NewScaler(ScaleOptions{Min: 1, Max: 8, TargetLoad: 100, Confirm: 2, Cooldown: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestScalerDirectionFlipResetsStreak(t *testing.T) {
 // after a decision waits out the cooldown before the next decision can
 // even start confirming.
 func TestScalerBackToBackDecisionsInsideCooldown(t *testing.T) {
-	s, err := NewScaler(Options{Min: 1, Max: 8, TargetLoad: 100, Confirm: 1, Cooldown: 2})
+	s, err := NewScaler(ScaleOptions{Min: 1, Max: 8, TargetLoad: 100, Confirm: 1, Cooldown: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestScalerBackToBackDecisionsInsideCooldown(t *testing.T) {
 // TestScalerNoteScaled: an externally-driven scale (App.ScaleTo)
 // restarts hysteresis exactly like an internal decision.
 func TestScalerNoteScaled(t *testing.T) {
-	s, err := NewScaler(Options{Min: 1, Max: 8, TargetLoad: 100, Confirm: 3, Cooldown: 2})
+	s, err := NewScaler(ScaleOptions{Min: 1, Max: 8, TargetLoad: 100, Confirm: 3, Cooldown: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,9 @@ import (
 // same confirmation hysteresis the deployment decision uses, so one
 // skewed window can neither split nor merge a key.
 
-// SplitOptions tune the hot-key splitter. The zero value disables it.
+// SplitOptions tune the hot-key splitter, which runs once a split engine
+// is attached (and needs engine.LiveConfig.KeySplitting).
 type SplitOptions struct {
-	// Enabled turns the splitter on (requires an attached split engine
-	// and engine.LiveConfig.KeySplitting).
-	Enabled bool
 	// Threshold is the promotion threshold as a multiple of an
 	// operator's fair per-instance share: a key routing more than
 	// Threshold × (total/parallelism) tuples in one statistics window is
@@ -75,15 +73,28 @@ type SplitEngine interface {
 type splitter struct {
 	opts SplitOptions
 	eng  SplitEngine
-	// hot / cold count consecutive windows a key spent above the promote
-	// threshold / below the demote threshold, keyed by op+"\x00"+key.
-	hot  map[string]int
-	cold map[string]int
+	// gates count, per op+"\x00"+key, the consecutive windows an unsplit
+	// key spent above the promote threshold (+1 each) or a split key
+	// below the demote threshold (−1 each). A key holds a gate only while
+	// its streak runs: a window in the dead band, or one the key is absent
+	// from, drops it.
+	gates map[string]*gate
 }
 
 func newSplitter(eng SplitEngine, opts SplitOptions) *splitter {
 	opts.defaults()
-	return &splitter{opts: opts, eng: eng, hot: map[string]int{}, cold: map[string]int{}}
+	return &splitter{opts: opts, eng: eng, gates: map[string]*gate{}}
+}
+
+// observe feeds one window's direction for a key into its gate (created
+// on first use) and reports whether the streak reached Confirm.
+func (s *splitter) observe(id string, dir int) bool {
+	g := s.gates[id]
+	if g == nil {
+		g = &gate{confirm: s.opts.Confirm}
+		s.gates[id] = g
+	}
+	return g.observe(dir)
 }
 
 func splitID(op, key string) string { return op + "\x00" + key }
@@ -188,18 +199,13 @@ func (s *splitter) run(cand *core.Candidate, now time.Time, seq int, version uin
 			id := splitID(op, kh.key)
 			seen[id] = true
 			switch {
-			case !split[id]:
-				if float64(kh.count) > promoteAt {
-					s.hot[id]++
-				} else {
-					delete(s.hot, id)
-					continue
-				}
-				if s.hot[id] < s.opts.Confirm || perOp[op] >= s.opts.TopK {
+			case !split[id] && float64(kh.count) > promoteAt:
+				// A confirmed key over the TopK cap stays ready.
+				if !s.observe(id, +1) || perOp[op] >= s.opts.TopK {
 					continue
 				}
 				replicas, err := s.eng.PromoteSplit(op, kh.key, s.opts.Replicas)
-				delete(s.hot, id)
+				delete(s.gates, id)
 				if err != nil {
 					record(ActionError, op, kh.key, "promotion failed: "+err.Error())
 					continue
@@ -208,16 +214,16 @@ func (s *splitter) run(cand *core.Candidate, now time.Time, seq int, version uin
 				record(ActionPromoted, op, kh.key,
 					fmt.Sprintf("%d tuples/window > %.0f (%.1fx fair share), replicas %v",
 						kh.count, promoteAt, s.opts.Threshold, replicas))
-			case float64(kh.count) < demoteAt:
-				s.cold[id]++
-				if s.cold[id] < s.opts.Confirm {
+			case split[id] && float64(kh.count) < demoteAt:
+				if !s.observe(id, -1) {
 					continue
 				}
 				s.demote(op, kh.key, id, record,
 					fmt.Sprintf("%d tuples/window < %.0f for %d windows", kh.count, demoteAt, s.opts.Confirm))
 				perOp[op]--
 			default:
-				delete(s.cold, id)
+				// Dead band or below threshold: the streak, if any, ends.
+				delete(s.gates, id)
 			}
 		}
 	}
@@ -229,17 +235,24 @@ func (s *splitter) run(cand *core.Candidate, now time.Time, seq int, version uin
 		if seen[id] {
 			continue
 		}
-		s.cold[id]++
-		if s.cold[id] >= s.opts.Confirm {
+		seen[id] = true
+		if s.observe(id, -1) {
 			s.demote(si.Op, si.Key, id, record,
 				fmt.Sprintf("absent from %d consecutive statistics windows", s.opts.Confirm))
+		}
+	}
+	// Windows are consecutive or they do not count: a key missing from
+	// this window's sketch loses its streak like one seen below threshold.
+	for id := range s.gates {
+		if !seen[id] {
+			delete(s.gates, id)
 		}
 	}
 	return out
 }
 
 func (s *splitter) demote(op, key, id string, record func(Action, string, string, string), reason string) {
-	delete(s.cold, id)
+	delete(s.gates, id)
 	if err := s.eng.DemoteSplit(op, key); err != nil {
 		record(ActionError, op, key, "demotion failed: "+err.Error())
 		return

@@ -127,7 +127,7 @@ func newSplitHarness(t *testing.T, parallelism int) *harness {
 // demotes only after two consecutive cold windows.
 func TestSplitterHysteresisNoFlapping(t *testing.T) {
 	f := newFakeSplitEngine(map[string]int{"B": 4})
-	s := newSplitter(f, SplitOptions{Enabled: true, Threshold: 1.5, Confirm: 2})
+	s := newSplitter(f, SplitOptions{Threshold: 1.5, Confirm: 2})
 	now := time.Unix(1700000000, 0)
 	seq := 0
 	tick := func(hot, tail uint64) []Decision {
@@ -203,7 +203,7 @@ func TestSplitterHysteresisNoFlapping(t *testing.T) {
 // up in the statistics window at all.
 func TestSplitterVanishedKeyDemotes(t *testing.T) {
 	f := newFakeSplitEngine(map[string]int{"B": 4})
-	s := newSplitter(f, SplitOptions{Enabled: true, Confirm: 2})
+	s := newSplitter(f, SplitOptions{Confirm: 2})
 	now := time.Unix(1700000000, 0)
 	s.run(window(f, 400, 400), now, 1, 1)
 	s.run(window(f, 400, 400), now, 2, 1)
@@ -218,6 +218,56 @@ func TestSplitterVanishedKeyDemotes(t *testing.T) {
 	}
 }
 
+// withoutHot drops the "hot" pair from a window: the key fell out of the
+// window's sketch entirely, so the splitter never visits it.
+func withoutHot(cand *core.Candidate) *core.Candidate {
+	pairs := cand.Stats[0].Pairs[:0:0]
+	for _, p := range cand.Stats[0].Pairs {
+		if p.Out != "hot" {
+			pairs = append(pairs, p)
+		}
+	}
+	cand.Stats[0].Pairs = pairs
+	return cand
+}
+
+// TestSplitterWindowsMustBeConsecutive: a key that is hot, then absent
+// from a window's sketch, then hot again has not been hot on two
+// consecutive windows and must not promote at Confirm 2 — and a key
+// whose streak ended holds no state, however it ended.
+func TestSplitterWindowsMustBeConsecutive(t *testing.T) {
+	f := newFakeSplitEngine(map[string]int{"B": 4})
+	s := newSplitter(f, SplitOptions{Threshold: 1.5, Confirm: 2})
+	now := time.Unix(1700000000, 0)
+
+	s.run(window(f, 400, 400), now, 1, 1)
+	s.run(withoutHot(window(f, 0, 800)), now, 2, 1)
+	if len(s.gates) != 0 {
+		t.Errorf("%d gate(s) survive a window their key was absent from", len(s.gates))
+	}
+	s.run(window(f, 400, 400), now, 3, 1)
+	if len(f.promoted) != 0 {
+		t.Fatalf("promoted on non-consecutive hot windows: %v", f.promoted)
+	}
+	s.run(window(f, 400, 400), now, 4, 1)
+	if len(f.promoted) != 1 || len(s.gates) != 0 {
+		t.Fatalf("after two consecutive hot windows: promoted %v, %d gate(s) left", f.promoted, len(s.gates))
+	}
+
+	// One cold window starts a demotion streak; then the key is demoted
+	// behind the splitter's back (ScaleTo and repair do that). The stale
+	// streak must not outlive the next window.
+	s.run(window(f, 100, 700), now, 5, 1)
+	if len(s.gates) != 1 {
+		t.Fatalf("%d gate(s) after one cold window on a split key, want 1", len(s.gates))
+	}
+	delete(f.splits, splitID("B", "hot"))
+	s.run(window(f, 100, 700), now, 6, 1)
+	if len(s.gates) != 0 || len(f.demoted) != 0 {
+		t.Fatalf("after an external demotion: %d gate(s) left, demoted %v", len(s.gates), f.demoted)
+	}
+}
+
 // TestControllerSplitLifecycleNoLoss is the end-to-end control-plane
 // cycle on a real engine: a skewed stream promotes the hot key through
 // controller ticks, the key demotes after the workload cools, and the
@@ -227,7 +277,7 @@ func TestControllerSplitLifecycleNoLoss(t *testing.T) {
 	h := newSplitHarness(t, 4)
 	c := newTestController(t, h, Options{
 		CostPerKey: 1e9, // never deploy; this test isolates the splitter
-		Split:      SplitOptions{Enabled: true, Threshold: 1.5, Confirm: 2, Replicas: 2},
+		Split:      SplitOptions{Threshold: 1.5, Confirm: 2, Replicas: 2},
 	})
 	c.AttachSplitEngine(h.live)
 

@@ -354,7 +354,7 @@ func BenchmarkCheckpointClean(b *testing.B) {
 // injects one tuple (dirtying one key on its home executor) and then
 // snapshots, so the measured cost is one dirty-key snapshot plus the
 // clean-scan of every other executor. The CI bench gate tracks this
-// alongside the wire and hot-path numbers in BENCH_4.json.
+// alongside the wire and hot-path numbers in BENCH_8.json.
 func BenchmarkCheckpointDirty(b *testing.B) {
 	live := newFaultLive(b, 4, nil)
 	for i := 0; i < 1000; i++ {

@@ -74,11 +74,9 @@ type LiveConfig struct {
 	// enables the per-connection dictionary plus the per-frame LZ pass;
 	// transport.CompressionOff keeps the raw PR 4 encoding.
 	WireCompression transport.Compression
-	// FlushBytes/FlushInterval seed the transport's batching thresholds
-	// when TCPTransport is on (zero values take the transport defaults).
-	// They are starting points, not fixed: SetWireFlushPolicy — and the
-	// control plane's adaptive flush tuner through it — retunes both
-	// live.
+	// FlushBytes/FlushInterval set the transport's batching thresholds
+	// when TCPTransport is on (zero values take the transport defaults);
+	// they are fixed for the engine's lifetime.
 	FlushBytes    int
 	FlushInterval time.Duration
 	// KeySplitting enables hot-key splitting (Partial Key Grouping):
@@ -540,30 +538,6 @@ func (l *Live) WireStats() metrics.WireStats {
 		return metrics.WireStats{}
 	}
 	return l.wire.Snapshot()
-}
-
-// WireFlushPolicy returns the transport's current batching thresholds
-// (zeros without a TCP fabric).
-func (l *Live) WireFlushPolicy() (bytes int, interval time.Duration) {
-	if l.fabric == nil {
-		return 0, 0
-	}
-	return l.fabric.FlushPolicy()
-}
-
-// SetWireFlushPolicy retunes the transport's batching thresholds live
-// on every node (see transport.Node.SetFlushPolicy for clamping).
-// No-op without a TCP fabric; a change that actually alters the policy
-// is counted on the wire meter as a flush retune.
-func (l *Live) SetWireFlushPolicy(bytes int, interval time.Duration) {
-	if l.fabric == nil {
-		return
-	}
-	prevBytes, prevInterval := l.fabric.FlushPolicy()
-	l.fabric.SetFlushPolicy(bytes, interval)
-	if newBytes, newInterval := l.fabric.FlushPolicy(); newBytes != prevBytes || newInterval != prevInterval {
-		l.wire.RecordFlushRetune()
-	}
 }
 
 // sendWire encodes msg for the TCP fabric and reports whether it was

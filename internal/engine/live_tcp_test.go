@@ -60,7 +60,7 @@ func TestTCPLiveIdleFlushNeedsNoTimer(t *testing.T) {
 		perKey      = 64
 		n           = keys * perKey
 	)
-	live := newTCPLiveWith(t, parallelism, FieldsWorstCase, transport.MaxFlushBytes, time.Hour)
+	live := newTCPLiveWith(t, parallelism, FieldsWorstCase, 4<<20, time.Hour)
 	for i := 0; i < n; i++ {
 		k := strconv.Itoa(i % keys)
 		if err := live.Inject(topology.Tuple{Values: []string{"a" + k, "b" + k}}); err != nil {

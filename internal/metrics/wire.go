@@ -76,10 +76,8 @@ type WireStats struct {
 
 	// FlushSizeHist is the log2 histogram of sent data-frame wire sizes
 	// (bucket i counts frames of up to 64<<i bytes; the last bucket is
-	// unbounded). FlushRetunes counts live flush-policy changes applied
-	// through the adaptive tuner.
+	// unbounded).
 	FlushSizeHist [FlushSizeBuckets]uint64 `json:"flush_size_hist"`
-	FlushRetunes  uint64                   `json:"flush_retunes"`
 
 	// Compression counters. RawBytesSent is what the sent data frames
 	// would have cost in the raw (un-interned, uncompressed) encoding,
@@ -216,7 +214,6 @@ type WireMeter struct {
 	writevCalls   atomic.Uint64
 	writevFrames  atomic.Uint64
 	flushSizeHist [FlushSizeBuckets]atomic.Uint64
-	flushRetunes  atomic.Uint64
 
 	rawBytesSent         atomic.Uint64
 	compressedFramesSent atomic.Uint64
@@ -303,11 +300,6 @@ func (m *WireMeter) RecordWritev(frames int) {
 	m.writevFrames.Add(uint64(frames))
 }
 
-// RecordFlushRetune folds in one live flush-policy change.
-func (m *WireMeter) RecordFlushRetune() {
-	m.flushRetunes.Add(1)
-}
-
 // flushSizeBucket maps a data frame's wire size to its log2 histogram
 // bucket: 0 for <=64 bytes, doubling per bucket, the last unbounded.
 func flushSizeBucket(wireBytes int) int {
@@ -372,7 +364,6 @@ func (m *WireMeter) Snapshot() WireStats {
 		WritevCalls:    m.writevCalls.Load(),
 		WritevFrames:   m.writevFrames.Load(),
 		FlushSizeHist:  hist,
-		FlushRetunes:   m.flushRetunes.Load(),
 		TierTuplesSent: tierTuples,
 		TierBytesSent:  tierBytes,
 

@@ -1,9 +1,8 @@
-// Package scale is the elastic-scaling subsystem: a minimal-movement
-// repartition planner (PlanRescale) that generalizes the failure-repair
-// pin-survivors-move-few logic to arbitrary membership changes, and a
-// Scaler that turns the controller's load signals into add/remove-server
-// decisions under the same hysteresis idiom the optimizer and the
-// hot-key splitter use.
+// Package scale is the planning half of elastic scaling: a
+// minimal-movement repartition planner (PlanRescale) that generalizes the
+// failure-repair pin-survivors-move-few logic to arbitrary membership
+// changes. The decision half — when to add or remove servers — is
+// control.Scaler.
 package scale
 
 import (

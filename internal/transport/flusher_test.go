@@ -319,12 +319,10 @@ func TestKillPeerBetweenHintAndWrite(t *testing.T) {
 	}
 }
 
-// TestReconnectDuringRetune is the round-3 TCP drill: live traffic, a
-// concurrent tug-of-war on the flush policy (the adaptive tuner's view
-// of the world), a peer drop and a reconnect in the middle — after
-// which the ledger must still balance exactly and traffic must flow on
-// the new connection under whatever policy won.
-func TestReconnectDuringRetune(t *testing.T) {
+// TestReconnectMidStream is the round-3 TCP drill: live traffic, a peer
+// drop and a reconnect in the middle — after which the ledger must
+// still balance exactly and traffic must flow on the new connection.
+func TestReconnectMidStream(t *testing.T) {
 	var received atomic.Int64
 	recv, err := NewNode(1, func(m Message) {
 		if m.Kind == KindData {
@@ -370,12 +368,6 @@ func TestReconnectDuringRetune(t *testing.T) {
 
 	var beforeReconnect int64
 	for i := 0; i < 60; i++ {
-		// Alternate the extremes the adaptive tuner swings between.
-		if i%2 == 0 {
-			n.SetFlushPolicy(MinFlushBytes, MinFlushInterval)
-		} else {
-			n.SetFlushPolicy(1<<20, 10*time.Millisecond)
-		}
 		if i == 30 {
 			n.DropPeer(1)
 			beforeReconnect = received.Load()
@@ -416,9 +408,5 @@ func TestReconnectDuringRetune(t *testing.T) {
 	}
 	if received.Load() <= beforeReconnect {
 		t.Fatal("no tuple was delivered after the reconnect")
-	}
-	// The last retune won and survives the drill (clamped by the node).
-	if bytes, interval := n.FlushPolicy(); bytes != 1<<20 || interval != 10*time.Millisecond {
-		t.Fatalf("flush policy after drill = %d/%v, want %d/%v", bytes, interval, 1<<20, 10*time.Millisecond)
 	}
 }

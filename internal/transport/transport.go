@@ -24,11 +24,6 @@
 // synchronous and the per-pair FIFO order the reconfiguration protocol
 // relies on (§3.4) is preserved exactly.
 //
-// FlushBytes and FlushInterval are live-tunable (SetFlushPolicy): the
-// control plane widens batches under load and walks them back when the
-// stream idles, trading latency for throughput the same way it trades
-// locality for migration cost.
-//
 // One Node is created per simulated server. Each ordered pair of nodes
 // shares one TCP connection, so messages between two servers are
 // delivered in FIFO order.
@@ -137,18 +132,6 @@ const (
 	DefaultFlushInterval = time.Millisecond
 )
 
-// Flush-policy clamps for SetFlushPolicy: whatever the adaptive tuner
-// asks for, the transport never batches below MinFlushBytes (the frame
-// header would dominate) nor above MaxFlushBytes, and the interval
-// stays inside [MinFlushInterval, MaxFlushInterval] so a runaway policy
-// cannot park tuples forever or busy-flush per tuple.
-const (
-	MinFlushBytes    = 1 << 9
-	MaxFlushBytes    = 1 << 22
-	MinFlushInterval = 50 * time.Microsecond
-	MaxFlushInterval = time.Second
-)
-
 // maxFreeBufs bounds each connection's staging-buffer free list; beyond
 // it buffers are left to the garbage collector.
 const maxFreeBufs = 8
@@ -177,13 +160,11 @@ type NodeOptions struct {
 
 	// FlushBytes stages a peer's pending data batch once its encoded
 	// payload reaches this many bytes (default DefaultFlushBytes).
-	// Live-tunable afterwards with SetFlushPolicy.
 	FlushBytes int
 	// FlushInterval bounds how long a pending batch waits for more
 	// tuples before being staged anyway (default DefaultFlushInterval).
 	// It is the backstop for senders that never call FlushIdle: batching
 	// delays a tuple by at most this much, and never reorders anything.
-	// Live-tunable afterwards with SetFlushPolicy.
 	FlushInterval time.Duration
 
 	// Compression selects the data-frame encoding; the zero value
@@ -237,12 +218,6 @@ type Node struct {
 	ln      net.Listener
 	handler Handler
 	opts    NodeOptions
-
-	// flushBytes/flushIntervalNs hold the live flush policy; they are
-	// atomics so SetFlushPolicy can retune them mid-stream without
-	// stalling the per-tuple send path.
-	flushBytes      atomic.Int64
-	flushIntervalNs atomic.Int64
 
 	// peers is copy-on-write: Send loads it with one atomic read (the
 	// per-tuple fast path takes no node-wide lock); Connect, connection
@@ -402,19 +377,15 @@ func NewNodeWith(id int, handler Handler, opts NodeOptions) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
+	if opts.FlushBytes <= 0 {
+		opts.FlushBytes = DefaultFlushBytes
+	}
+	if opts.FlushInterval <= 0 {
+		opts.FlushInterval = DefaultFlushInterval
+	}
 	n := &Node{id: id, ln: ln, handler: handler, opts: opts}
 	empty := make(map[int]*peerConn)
 	n.peers.Store(&empty)
-	fb := opts.FlushBytes
-	if fb <= 0 {
-		fb = DefaultFlushBytes
-	}
-	n.flushBytes.Store(int64(fb))
-	fi := opts.FlushInterval
-	if fi <= 0 {
-		fi = DefaultFlushInterval
-	}
-	n.flushIntervalNs.Store(int64(fi))
 	n.wg.Add(1)
 	go n.accept()
 	return n, nil
@@ -425,39 +396,6 @@ func (n *Node) ID() int { return n.id }
 
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.ln.Addr().String() }
-
-// FlushPolicy returns the node's current flush thresholds.
-func (n *Node) FlushPolicy() (bytes int, interval time.Duration) {
-	return int(n.flushBytes.Load()), time.Duration(n.flushIntervalNs.Load())
-}
-
-// SetFlushPolicy retunes the batching thresholds live, for every
-// current and future connection. Non-positive values leave the
-// corresponding knob unchanged; the rest are clamped into
-// [MinFlushBytes, MaxFlushBytes] and [MinFlushInterval,
-// MaxFlushInterval]. In-flight batches finish under the policy they
-// started with; the new thresholds apply from the next tuple on. Safe
-// for concurrent use with Send.
-func (n *Node) SetFlushPolicy(bytes int, interval time.Duration) {
-	if bytes > 0 {
-		if bytes < MinFlushBytes {
-			bytes = MinFlushBytes
-		}
-		if bytes > MaxFlushBytes {
-			bytes = MaxFlushBytes
-		}
-		n.flushBytes.Store(int64(bytes))
-	}
-	if interval > 0 {
-		if interval < MinFlushInterval {
-			interval = MinFlushInterval
-		}
-		if interval > MaxFlushInterval {
-			interval = MaxFlushInterval
-		}
-		n.flushIntervalNs.Store(int64(interval))
-	}
-}
 
 // Connect dials every peer in the map (peer id -> address). Peers may be
 // connected before they have connected back; each direction uses its own
@@ -480,7 +418,7 @@ func (n *Node) Connect(peers map[int]string) error {
 		n.DropPeer(id)
 		pc := &peerConn{
 			conn: conn,
-			buf:  make([]byte, frameHeaderLen, frameHeaderLen+int(n.flushBytes.Load())+4096),
+			buf:  make([]byte, frameHeaderLen, frameHeaderLen+n.opts.FlushBytes+4096),
 		}
 		pc.cond = sync.NewCond(&pc.mu)
 		if n.opts.Compression != CompressionOff {
@@ -582,7 +520,7 @@ func (n *Node) sendDataLocked(peer int, pc *peerConn, msg *Message) error {
 		pc.appendLocked(msg)
 	}
 	pc.batchN++
-	flushBytes := int(n.flushBytes.Load())
+	flushBytes := n.opts.FlushBytes
 	if len(pc.buf)-frameHeaderLen >= flushBytes {
 		if err := n.stageBatchLocked(peer, pc, metrics.FlushSize); err != nil {
 			return err
@@ -601,7 +539,7 @@ func (n *Node) sendDataLocked(peer int, pc *peerConn, msg *Message) error {
 		return nil
 	}
 	if pc.batchN == 1 {
-		pc.timer.Reset(time.Duration(n.flushIntervalNs.Load()))
+		pc.timer.Reset(n.opts.FlushInterval)
 	}
 	return nil
 }
@@ -1190,27 +1128,6 @@ func (f *Fabric) FlushIdle(from, to int) {
 	if from >= 0 && from < len(f.nodes) {
 		f.nodes[from].FlushIdle(to)
 	}
-}
-
-// SetFlushPolicy retunes every node's batching thresholds live (see
-// Node.SetFlushPolicy for clamping and semantics).
-func (f *Fabric) SetFlushPolicy(bytes int, interval time.Duration) {
-	for _, node := range f.nodes {
-		if node != nil {
-			node.SetFlushPolicy(bytes, interval)
-		}
-	}
-}
-
-// FlushPolicy returns the fabric's current flush thresholds (every
-// node shares the same policy).
-func (f *Fabric) FlushPolicy() (bytes int, interval time.Duration) {
-	for _, node := range f.nodes {
-		if node != nil {
-			return node.FlushPolicy()
-		}
-	}
-	return 0, 0
 }
 
 // DropPeer severs every surviving node's outgoing connection to server,

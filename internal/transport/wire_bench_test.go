@@ -76,7 +76,7 @@ func benchWireForward(b *testing.B, comp Compression) {
 	}
 }
 
-// BenchmarkWireForward is the gated end-to-end number (BENCH_5.json):
+// BenchmarkWireForward is the gated end-to-end number (BENCH_8.json):
 // the default encoding, dictionary interning plus the opportunistic LZ
 // pass. Compare with BenchmarkWireForwardRaw for the CPU cost of
 // compression and with BenchmarkGobForward — the per-message gob path
@@ -350,72 +350,6 @@ func BenchmarkWireWritev(b *testing.B) {
 		b.ReportMetric(st.SyscallsPerFlush(), "syscalls/flush")
 		b.ReportMetric(st.FramesPerWritev(), "frames/writev")
 	}
-}
-
-// BenchmarkWireAdaptiveFlush is the adaptive-flush end-to-end number:
-// tuples stream while a background goroutine retunes the flush policy
-// between its extremes every few hundred microseconds — the adaptive
-// tuner's steady thrash, compressed in time. The ns/op shows what a
-// mid-stream retune costs the data path (it should cost nothing: the
-// policy is two atomics).
-func BenchmarkWireAdaptiveFlush(b *testing.B) {
-	var (
-		received atomic.Int64
-		target   atomic.Int64
-	)
-	done := make(chan struct{}, 1)
-	f, err := NewFabricWith(2, func(int, Message) {}, NodeOptions{
-		BatchHandler: func(_ int, msgs []Message) {
-			if t := target.Load(); t > 0 && received.Add(int64(len(msgs))) >= t {
-				select {
-				case done <- struct{}{}:
-				default:
-				}
-			}
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		wide := false
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(500 * time.Microsecond):
-			}
-			if wide {
-				f.SetFlushPolicy(MaxFlushBytes, 10*time.Millisecond)
-			} else {
-				f.SetFlushPolicy(MinFlushBytes, MinFlushInterval)
-			}
-			wide = !wide
-		}
-	}()
-
-	msg := benchMessage()
-	target.Store(4096)
-	for i := 0; i < 4096; i++ {
-		if err := f.Send(0, 1, msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	awaitBench(b, done)
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	target.Store(received.Load() + int64(b.N))
-	for i := 0; i < b.N; i++ {
-		if err := f.Send(0, 1, msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	awaitBench(b, done)
 }
 
 // BenchmarkWireEncode isolates the steady-state encode path — one tuple

@@ -77,7 +77,7 @@ func TestHandlerStatusKeys(t *testing.T) {
 			"dict_bytes_sent dict_entries_received dict_entries_sent dict_frames_received " +
 			"dict_frames_sent dict_hits dict_misses encode_nanos flush_close flush_control " +
 			"flush_idle flush_size flush_size_hist flush_timer frames_received frames_sent " +
-			"raw_bytes_sent tier_bytes_sent tier_tuples_sent tuples_received tuples_sent " +
+			"lz_attempts raw_bytes_sent tier_bytes_sent tier_tuples_sent tuples_received tuples_sent " +
 			"writev_calls writev_frames",
 		"scale": "active capacity cooldown_left max min scales streak",
 		"federation": "clusters confirm cooldown_left cost_multiplier cross_keys_moved " +

@@ -468,8 +468,12 @@ func (l *Live) deliverWire(msg transport.Message) {
 // are grouped into runs with the same recipient, and each run is
 // enqueued under a single mailbox lock acquisition — the receive-side
 // payoff of wire batching. The transport reuses msgs for the next
-// frame, so everything needed is copied into engine messages before
-// returning.
+// frame, so the engine messages are built before returning; what they
+// point to is handed over as it is. A tuple's Values is its share of
+// the frame's value slab and its long strings are substrings of the
+// frame's arena (transport.BatchHandler): both belong to the garbage
+// collector alone, so a tuple may sit in a mailbox or a migration
+// buffer for as long as it takes, and costs no allocation to deliver.
 func (l *Live) deliverWireBatch(node int, msgs []transport.Message) {
 	// The frame is off the wire: these tuples are no longer outstanding
 	// towards this server, whatever happens to them below (delivery,

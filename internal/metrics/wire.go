@@ -82,12 +82,16 @@ type WireStats struct {
 	// Compression counters. RawBytesSent is what the sent data frames
 	// would have cost in the raw (un-interned, uncompressed) encoding,
 	// headers included; BytesSent above is what they actually cost on
-	// the wire. CompressedFramesSent counts data frames that went out LZ-
-	// wrapped (the rest fell back to their raw form because compression
-	// did not shrink them). DictFramesSent/DictEntriesSent/DictBytesSent
-	// cover the in-band dictionary announcements; DictHits/DictMisses
-	// count string fields encoded as dictionary references vs. inline.
+	// the wire. LZAttempts counts the sent data frames the LZ pass was run
+	// on and CompressedFramesSent those of them that went out LZ-wrapped
+	// (the rest left in their plain form because compression did not pay),
+	// so kept ÷ attempted is the encoder's useful share and the attempts
+	// over FramesSent its duty cycle.
+	// DictFramesSent/DictEntriesSent/DictBytesSent cover the in-band
+	// dictionary announcements; DictHits/DictMisses count string fields
+	// encoded as dictionary references vs. inline.
 	RawBytesSent         uint64 `json:"raw_bytes_sent"`
+	LZAttempts           uint64 `json:"lz_attempts"`
 	CompressedFramesSent uint64 `json:"compressed_frames_sent"`
 	DictFramesSent       uint64 `json:"dict_frames_sent"`
 	DictEntriesSent      uint64 `json:"dict_entries_sent"`
@@ -216,6 +220,7 @@ type WireMeter struct {
 	flushSizeHist [FlushSizeBuckets]atomic.Uint64
 
 	rawBytesSent         atomic.Uint64
+	lzAttempts           atomic.Uint64
 	compressedFramesSent atomic.Uint64
 	dictFramesSent       atomic.Uint64
 	dictEntriesSent      atomic.Uint64
@@ -259,6 +264,12 @@ func (m *WireMeter) RecordDataFrameSent(tuples, wireBytes, rawBytes int, compres
 	case FlushIdle:
 		m.flushIdle.Add(1)
 	}
+}
+
+// RecordLZAttempt marks the data frame just recorded as one the LZ pass
+// was run on, whether or not its output was kept.
+func (m *WireMeter) RecordLZAttempt() {
+	m.lzAttempts.Add(1)
 }
 
 // RecordTierSent folds one sent data frame into the per-tier
@@ -378,6 +389,7 @@ func (m *WireMeter) Snapshot() WireStats {
 		FlushClose:           m.flushClose.Load(),
 		FlushIdle:            m.flushIdle.Load(),
 		RawBytesSent:         m.rawBytesSent.Load(),
+		LZAttempts:           m.lzAttempts.Load(),
 		CompressedFramesSent: m.compressedFramesSent.Load(),
 		DictFramesSent:       m.dictFramesSent.Load(),
 		DictEntriesSent:      m.dictEntriesSent.Load(),

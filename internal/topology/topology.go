@@ -78,6 +78,17 @@ type Emit func(Tuple)
 // one input tuple and emits zero or more output tuples. Implementations
 // need not be safe for concurrent use: the engine serializes calls per
 // instance.
+//
+// The tuple is the processor's to keep: nothing it holds is reused or
+// overwritten after Process returns. A tuple that crossed the network
+// shares memory with the tuples that crossed with it, though: its Values
+// slice is a capped piece of one slab per wire frame, and its values
+// longer than 64 bytes are substrings of one copy of the frame's bytes
+// (shorter ones, the size of keys, are separate strings). A processor
+// that keeps such a slice or long value past Process keeps its whole
+// frame — up to the transport's flush size, 64 KiB by default — from
+// being collected; one that keeps many for long should keep
+// strings.Clone of the value instead.
 type Processor interface {
 	Process(t Tuple, emit Emit)
 }

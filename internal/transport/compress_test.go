@@ -24,16 +24,59 @@ func TestLZRoundTrip(t *testing.T) {
 	overlap := bytes.Repeat([]byte{0xAB}, 1000) // offset-1 self-overlapping matches
 	mixed := append(append([]byte{}, repetitive...), random...)
 	big := bytes.Repeat(random[:100], 1<<10) // ~100KiB, offsets past lzMaxOffset
+	// Inputs that run the matcher at every step width: a long miss run
+	// (the step grows to ~90 and the input ends mid-stride), text after
+	// such a run (the first match must bring the step back to 1), the
+	// payload-stream shape (a short repeated header between 512-byte
+	// stretches of noise), noise bursts inside text, and one run longer
+	// than the offset window.
+	longRandom := make([]byte, 256<<10)
+	rng.Read(longRandom)
+	randomThenText := append(append([]byte{}, longRandom[:32<<10]...), repetitive...)
+	var payloads, bursts []byte
+	for i := 0; i < 120; i++ {
+		payloads = append(payloads, "\x03\x02\x00\x05\x01\x00\x04\x01\x00\x80\x08"...)
+		payloads = append(payloads, longRandom[i*512:(i+1)*512]...)
+		bursts = append(bursts, repetitive[:300+i]...)
+		bursts = append(bursts, longRandom[i*100:(i+1)*100]...)
+	}
+	longRun := make([]byte, 100<<10)
 
 	cases := map[string][]byte{
-		"empty":      {},
-		"one-byte":   {7},
-		"short":      []byte("abc"),
-		"repetitive": repetitive,
-		"random":     random,
-		"overlap":    overlap,
-		"mixed":      mixed,
-		"big":        big,
+		"empty":            {},
+		"one-byte":         {7},
+		"short":            []byte("abc"),
+		"repetitive":       repetitive,
+		"random":           random,
+		"overlap":          overlap,
+		"mixed":            mixed,
+		"big":              big,
+		"long-random":      longRandom,
+		"random-then-text": randomThenText,
+		"payload-tuples":   payloads,
+		"text-with-bursts": bursts,
+		"long-run":         longRun,
+	}
+	// Seeded compositions of the same ingredients — noise, runs, copies of
+	// what came before — at lengths from nothing up, so every way of
+	// ending (mid-stride, mid-match, under four bytes left) occurs.
+	for i := 0; i < 300; i++ {
+		var src []byte
+		for segs := rng.Intn(6); segs > 0; segs-- {
+			n := rng.Intn(1 << uint(rng.Intn(13)))
+			switch rng.Intn(3) {
+			case 0:
+				src = append(src, longRandom[:n]...)
+			case 1:
+				src = append(src, bytes.Repeat([]byte{byte(rng.Intn(4))}, n)...)
+			case 2:
+				if len(src) > 0 {
+					from := rng.Intn(len(src))
+					src = append(src, src[from:min(len(src), from+n)]...)
+				}
+			}
+		}
+		cases[fmt.Sprintf("composed-%d", i)] = src
 	}
 	var table [1 << lzHashBits]int32
 	for name, src := range cases {
@@ -46,9 +89,17 @@ func TestLZRoundTrip(t *testing.T) {
 			t.Fatalf("%s: round trip mismatch: %d bytes in, %d out", name, len(src), len(got))
 		}
 	}
-	// Sanity: the codec actually compresses what it exists for.
+	// Sanity: the codec actually compresses what it exists for, also when
+	// it has just skimmed over 32KiB of noise, and skimming costs noise
+	// next to nothing in size.
 	if comp := lzAppendCompress(nil, repetitive, &table); len(comp) >= len(repetitive)/4 {
 		t.Fatalf("repetitive text compressed to %d of %d bytes", len(comp), len(repetitive))
+	}
+	if comp := lzAppendCompress(nil, randomThenText, &table); len(comp) >= 32<<10+len(repetitive)/4 {
+		t.Fatalf("text after 32KiB of noise: %d of %d bytes", len(comp), len(randomThenText))
+	}
+	if comp := lzAppendCompress(nil, longRandom, &table); len(comp) > len(longRandom)+16 {
+		t.Fatalf("noise grew from %d to %d bytes", len(longRandom), len(comp))
 	}
 }
 
@@ -93,21 +144,25 @@ func TestDictInternPromotesOnSecondSighting(t *testing.T) {
 	if id, ok := d.intern("hot"); !ok || id != 0 {
 		t.Fatalf("third sighting: id=%d ok=%v, want 0 true", id, ok)
 	}
-	// Empty and oversized strings never intern, however often they recur.
-	long := strings.Repeat("x", maxDictString+1)
+	// Empty strings and strings longer than a key never intern, however
+	// often they recur: they ride inline without touching the maps.
+	long := strings.Repeat("x", maxKeyString+1)
 	for i := 0; i < 3; i++ {
 		if _, ok := d.intern(""); ok {
 			t.Fatal("empty string interned")
 		}
 		if _, ok := d.intern(long); ok {
-			t.Fatal("oversized string interned")
+			t.Fatal("string longer than a key interned")
 		}
 	}
-	// Exactly maxDictString is the longest legal entry.
-	edge := strings.Repeat("y", maxDictString)
+	if len(d.candidates) != 0 {
+		t.Fatalf("%d candidates parked by strings that can never intern", len(d.candidates))
+	}
+	// Exactly maxKeyString is the longest string the sender interns.
+	edge := strings.Repeat("y", maxKeyString)
 	d.intern(edge)
 	if id, ok := d.intern(edge); !ok || id != 1 {
-		t.Fatalf("maxDictString entry: id=%d ok=%v, want 1 true", id, ok)
+		t.Fatalf("maxKeyString entry: id=%d ok=%v, want 1 true", id, ok)
 	}
 
 	var r recvDict
@@ -116,7 +171,7 @@ func TestDictInternPromotesOnSecondSighting(t *testing.T) {
 		t.Fatalf("apply: entries=%d err=%v, want 2 nil", n, err)
 	}
 	if r.entries[0] != "hot" || r.entries[1] != edge {
-		t.Fatalf("receiver entries = %q", r.entries[:1])
+		t.Fatalf("receiver entries = %q", r.entries)
 	}
 }
 
@@ -231,9 +286,9 @@ func waitDelivered(t *testing.T, c *atomic.Int64, want int64) {
 
 // propertyMessages generates a deterministic adversarial batch stream:
 // Zipf-ish key skew, unicode and raw-binary keys and values, empty
-// strings, nil value slices, strings past maxDictString (legal inline,
-// never interned) and the occasional tuple bigger than the flush
-// threshold.
+// strings, nil value slices, strings on both sides of maxKeyString (the
+// longer ones legal inline, never interned) and past maxDictString, and
+// the occasional tuple bigger than the flush threshold.
 func propertyMessages(seed int64, n int) []Message {
 	rng := rand.New(rand.NewSource(seed))
 	hot := []string{
@@ -268,6 +323,19 @@ func propertyMessages(seed int64, n int) []Message {
 					b := make([]byte, maxDictString+1+rng.Intn(256))
 					rng.Read(b)
 					vals[j] = string(b) // too long to intern, rides inline
+				case 4:
+					// A recurring value on either side of maxKeyString: the
+					// shorter is interned, the longer inline every time and
+					// left to LZ.
+					vals[j] = strings.Repeat("edge", 17)[:maxKeyString-1+rng.Intn(3)]
+				case 5:
+					if i%8 == 0 {
+						// A long run now and then: matches far longer than
+						// the length nibble holds.
+						vals[j] = strings.Repeat("\x00", 4096+rng.Intn(4096))
+						break
+					}
+					fallthrough
 				default:
 					vals[j] = hot[rng.Intn(len(hot))]
 				}

@@ -30,10 +30,22 @@ const (
 	// This is what keeps the dictionary biased to *recently hot* keys.
 	maxDictCandidates = 8192
 
-	// maxDictString bounds one interned string. Longer strings are
-	// legal on the wire (inline) but never interned, bounding both the
-	// announce traffic and the receiver's per-entry memory.
+	// maxDictString bounds one announced entry at the receiver, and with
+	// it the receiver's per-entry memory. It is deliberately wider than
+	// what this sender interns (maxKeyString): senders of earlier
+	// revisions announce entries up to this size and must keep working.
 	maxDictString = 1024
+
+	// maxKeyString is the longest string the wire path treats as a key.
+	// The dictionary exists for operator names and the hot keys of a
+	// skewed stream, and those are short; a longer string is payload.
+	// The sender therefore interns only strings up to this size — a
+	// longer one rides inline without a single map probe, and repetition
+	// inside a frame is the LZ pass's job — and the decoder copies out
+	// only inline strings up to this size one by one, taking longer ones
+	// from the frame's arena (see batchDecoder). 64 is about where the
+	// inline tag stops fitting one byte.
+	maxKeyString = 64
 )
 
 // sendDict is the sender half: string -> id, plus the not-yet-announced
@@ -63,9 +75,10 @@ func newSendDict() *sendDict {
 
 // intern returns the dictionary id for s, promoting s on its second
 // sighting within the candidate window. ok is false when s must ride
-// inline (not seen twice yet, too long, empty, or the table is full).
+// inline (not seen twice yet, longer than a key, empty, or the table is
+// full).
 func (d *sendDict) intern(s string) (uint32, bool) {
-	if len(s) == 0 || len(s) > maxDictString {
+	if len(s) == 0 || len(s) > maxKeyString {
 		d.misses++
 		return 0, false
 	}
@@ -147,29 +160,6 @@ func appendDictString(buf []byte, s string, d *sendDict) []byte {
 	return append(buf, s...)
 }
 
-// readDictString reads one tagged string. References resolve against the
-// connection's dictionary and share its backing memory (strings are
-// immutable, and the dictionary entry outlives the frame buffer);
-// inline strings are copied out like readString does.
-func readDictString(p []byte, d *recvDict) (string, []byte, bool) {
-	v, rest, ok := readUvarint(p)
-	if !ok {
-		return "", p, false
-	}
-	if v&1 == 1 {
-		id := v >> 1
-		if id >= uint64(len(d.entries)) {
-			return "", p, false
-		}
-		return d.entries[id], rest, true
-	}
-	n := v >> 1
-	if n > uint64(len(rest)) {
-		return "", p, false
-	}
-	return string(rest[:n]), rest[n:], true
-}
-
 // appendTupleDict is appendTuple with every string field in tagged form.
 // The record layout and integer fields are identical to the raw
 // encoding (see appendTuple).
@@ -216,56 +206,7 @@ func uvarintSize(v uint64) int {
 
 // appendBatchDict decodes a frameDataDict payload against the
 // connection's dictionary — the tagged-string sibling of appendBatch,
-// with the same corruption discipline: every declared length is
-// validated before allocation and any leftover means the frame (and the
-// connection) is bad.
+// decoded by the same batchDecoder under the same corruption discipline.
 func appendBatchDict(dst []Message, p []byte, d *recvDict) ([]Message, error) {
-	for len(p) > 0 {
-		var (
-			m  Message
-			u  uint64
-			ok bool
-		)
-		m.Kind = KindData
-		if m.To.Op, p, ok = readDictString(p, d); !ok {
-			return dst, errFrameCorrupt
-		}
-		if u, p, ok = readUvarint(p); !ok || u > maxIntField {
-			return dst, errFrameCorrupt
-		}
-		m.To.Instance = int(u)
-		if u, p, ok = readUvarint(p); !ok || u > maxIntField {
-			return dst, errFrameCorrupt
-		}
-		m.From = int(u)
-		if m.KeyOp, p, ok = readDictString(p, d); !ok {
-			return dst, errFrameCorrupt
-		}
-		if m.Key, p, ok = readDictString(p, d); !ok {
-			return dst, errFrameCorrupt
-		}
-		if u, p, ok = readUvarint(p); !ok || u > maxIntField {
-			return dst, errFrameCorrupt
-		}
-		m.Padding = int(u)
-		if u, p, ok = readUvarint(p); !ok {
-			return dst, errFrameCorrupt
-		}
-		// Each value costs at least one tag byte, so a count beyond the
-		// remaining bytes is unsatisfiable.
-		if u > uint64(len(p)) {
-			return dst, errFrameCorrupt
-		}
-		if u > 0 {
-			vals := make([]string, u)
-			for i := range vals {
-				if vals[i], p, ok = readDictString(p, d); !ok {
-					return dst, errFrameCorrupt
-				}
-			}
-			m.Values = vals
-		}
-		dst = append(dst, m)
-	}
-	return dst, nil
+	return decodeBatch(dst, p, d)
 }

@@ -112,52 +112,150 @@ func nonNeg(v int) int {
 // corrupt length prefix can never make the decoder allocate more than
 // O(len(p)).
 func appendBatch(dst []Message, p []byte) ([]Message, error) {
-	for len(p) > 0 {
-		var (
-			m  Message
-			u  uint64
-			ok bool
-		)
-		m.Kind = KindData
-		if m.To.Op, p, ok = readString(p); !ok {
-			return dst, errFrameCorrupt
-		}
-		if u, p, ok = readUvarint(p); !ok || u > maxIntField {
-			return dst, errFrameCorrupt
-		}
-		m.To.Instance = int(u)
-		if u, p, ok = readUvarint(p); !ok || u > maxIntField {
-			return dst, errFrameCorrupt
-		}
-		m.From = int(u)
-		if m.KeyOp, p, ok = readString(p); !ok {
-			return dst, errFrameCorrupt
-		}
-		if m.Key, p, ok = readString(p); !ok {
-			return dst, errFrameCorrupt
-		}
-		if u, p, ok = readUvarint(p); !ok || u > maxIntField {
-			return dst, errFrameCorrupt
-		}
-		m.Padding = int(u)
-		if u, p, ok = readUvarint(p); !ok {
-			return dst, errFrameCorrupt
-		}
-		// Each value costs at least its one-byte length prefix, so a
-		// count beyond the remaining bytes is unsatisfiable.
-		if u > uint64(len(p)) {
-			return dst, errFrameCorrupt
-		}
-		if u > 0 {
-			vals := make([]string, u)
-			for i := range vals {
-				if vals[i], p, ok = readString(p); !ok {
-					return dst, errFrameCorrupt
-				}
+	return decodeBatch(dst, p, nil)
+}
+
+// batchDecoder decodes one data-frame payload without allocating per
+// tuple. What the decoded messages keep of the frame lives in two
+// per-frame arenas, both ordinary garbage-collected objects that are
+// never pooled or reused, so nothing a receiver can reach ever changes
+// under it:
+//
+//   - one []string slab holding every tuple's Values back to back; each
+//     Message.Values is a slice of it capped at its own length, so an
+//     append to one tuple's Values reallocates instead of overwriting
+//     its neighbour's;
+//   - one string copy of the payload, made when the first inline string
+//     longer than maxKeyString is met, of which every such string is a
+//     substring.
+//
+// Inline strings up to maxKeyString are copied out one by one:
+// operators keep keys in maps, and a retained 5-byte key must not pin a
+// 64KiB frame. A receiver that keeps a longer value does pin the frame
+// it arrived in until it lets go or clones the string.
+type batchDecoder struct {
+	payload []byte    // the whole frame payload, for arena offsets
+	dict    *recvDict // nil: raw length-prefixed strings (frameData)
+	arena   string    // string(payload), made on first use
+	vals    []string  // every decoded tuple's values so far, in order
+}
+
+// readString reads one string field at the front of p: tagged
+// (dictionary reference or inline, see dict.go) when the decoder has a
+// dictionary, length-prefixed otherwise. References share the
+// dictionary entry's memory.
+func (bd *batchDecoder) readString(p []byte) (string, []byte, bool) {
+	v, rest, ok := readUvarint(p)
+	if !ok {
+		return "", p, false
+	}
+	if bd.dict != nil {
+		if v&1 == 1 {
+			id := v >> 1
+			if id >= uint64(len(bd.dict.entries)) {
+				return "", p, false
 			}
-			m.Values = vals
+			return bd.dict.entries[id], rest, true
 		}
-		dst = append(dst, m)
+		v >>= 1
+	}
+	if v > uint64(len(rest)) {
+		return "", p, false
+	}
+	n := int(v)
+	if n <= maxKeyString {
+		return string(rest[:n]), rest[n:], true
+	}
+	if bd.arena == "" {
+		bd.arena = string(bd.payload)
+	}
+	off := len(bd.payload) - len(rest)
+	return bd.arena[off : off+n], rest[n:], true
+}
+
+// readTuple decodes the tuple record at the front of p into m, leaving
+// its values at the end of bd.vals for decodeBatch to place.
+func (bd *batchDecoder) readTuple(m *Message, p []byte) ([]byte, bool) {
+	var (
+		u  uint64
+		ok bool
+	)
+	m.Kind = KindData
+	if m.To.Op, p, ok = bd.readString(p); !ok {
+		return p, false
+	}
+	if u, p, ok = readUvarint(p); !ok || u > maxIntField {
+		return p, false
+	}
+	m.To.Instance = int(u)
+	if u, p, ok = readUvarint(p); !ok || u > maxIntField {
+		return p, false
+	}
+	m.From = int(u)
+	if m.KeyOp, p, ok = bd.readString(p); !ok {
+		return p, false
+	}
+	if m.Key, p, ok = bd.readString(p); !ok {
+		return p, false
+	}
+	if u, p, ok = readUvarint(p); !ok || u > maxIntField {
+		return p, false
+	}
+	m.Padding = int(u)
+	// Each value costs at least one length or tag byte, so a count beyond
+	// the remaining bytes is unsatisfiable.
+	if u, p, ok = readUvarint(p); !ok || u > uint64(len(p)) {
+		return p, false
+	}
+	from := len(bd.vals)
+	for ; u > 0; u-- {
+		var v string
+		if v, p, ok = bd.readString(p); !ok {
+			return p, false
+		}
+		bd.vals = append(bd.vals, v)
+	}
+	if len(bd.vals) > from {
+		// Only the length counts yet: the scratch may still move.
+		m.Values = bd.vals[from:]
+	}
+	return p, true
+}
+
+// valsPool recycles the scratch a frame's values are gathered in while
+// their number is not yet known.
+var valsPool = sync.Pool{New: func() any { return new([]string) }}
+
+// decodeBatch is the decoder behind appendBatch (d == nil) and
+// appendBatchDict. On error nothing is appended to dst.
+func decodeBatch(dst []Message, p []byte, d *recvDict) ([]Message, error) {
+	scratch := valsPool.Get().(*[]string)
+	bd := batchDecoder{payload: p, dict: d, vals: (*scratch)[:0]}
+	first := len(dst)
+	ok := true
+	for ok && len(p) > 0 {
+		dst = append(dst, Message{})
+		p, ok = bd.readTuple(&dst[len(dst)-1], p)
+	}
+	if ok && len(bd.vals) > 0 {
+		// The frame decoded whole: move its values into their slab and
+		// give each tuple its share, in order.
+		slab := make([]string, len(bd.vals))
+		copy(slab, bd.vals)
+		for i := first; i < len(dst); i++ {
+			if n := len(dst[i].Values); n > 0 {
+				dst[i].Values, slab = slab[:n:n], slab[n:]
+			}
+		}
+	}
+	// The pooled scratch must not keep the frame's strings alive.
+	clear(bd.vals)
+	*scratch = bd.vals[:0]
+	valsPool.Put(scratch)
+	if !ok {
+		// Whatever was decoded still points into the scratch: drop it.
+		clear(dst[first:])
+		return dst[:first], errFrameCorrupt
 	}
 	return dst, nil
 }
@@ -170,8 +268,7 @@ func readUvarint(p []byte) (uint64, []byte, bool) {
 	return v, p[n:], true
 }
 
-// readString reads one varint-prefixed string, copying it out of p so
-// the frame buffer can be recycled immediately after decoding.
+// readString reads one varint-prefixed string, copying it out of p.
 func readString(p []byte) (string, []byte, bool) {
 	v, rest, ok := readUvarint(p)
 	if !ok || v > uint64(len(rest)) {

@@ -241,10 +241,10 @@ func FuzzFrameDecode(f *testing.F) {
 				break
 			}
 		}
-		// The raw payload paths, independent of framing.
-		_, _ = appendBatch(nil, data)
-		var rd2 recvDict
-		_, _ = appendBatchDict(nil, data, &rd2)
+		// The raw payload paths, independent of framing: same verdict and
+		// same messages as the reference decoders, nothing delivered from
+		// a corrupt payload.
+		checkDecodersAgree(t, "bare payload", data, new(recvDict))
 	})
 }
 
@@ -284,6 +284,7 @@ func FuzzDictDecode(f *testing.F) {
 				}
 			}
 		}
+		checkDecodersAgree(t, "batch", batch, &rd)
 		const lzLimit = 1 << 16
 		if out, err := lzAppendDecompress(nil, batch, lzLimit); err == nil && len(out) > lzLimit {
 			t.Fatalf("LZ decoder exceeded its limit: %d > %d", len(out), lzLimit)

@@ -20,14 +20,23 @@ import (
 // carries literals only: it ends the block without an offset, signalled
 // by offset bytes being absent because the input is exhausted.
 //
-// The compressor is greedy with a single 8K-entry hash table and spends
-// ~1 byte of bookkeeping per 16 input bytes on incompressible data —
-// cheap enough to attempt on every frame and keep only when it shrinks.
+// The compressor is greedy with a single 8K-entry hash table and, like
+// LZ4 and Snappy, accelerates over misses: every 64 consecutive failed
+// probes widen the step to the next probe by one byte, and a match
+// resets it. Compressible bytes are therefore scanned position by
+// position while a long incompressible run is only sampled — a 64KiB
+// frame of random payload costs some 2,900 probes instead of 65,536. An
+// attempt is still not free (the table is cleared and the literals are
+// copied even when nothing matched), so the sender decides per
+// connection how often to make one: see lzBackoffMin in transport.go.
 const (
 	lzMinMatch  = 4
 	lzMaxOffset = 65535
 	lzHashBits  = 13
-	lzHashShift = 64 - lzHashBits
+
+	// lzSkipShift sets the miss acceleration: the probe step is
+	// 1 + misses>>lzSkipShift, LZ4's default of 64 probes per stride.
+	lzSkipShift = 6
 )
 
 var errLZCorrupt = errors.New("transport: corrupt compressed payload")
@@ -43,7 +52,7 @@ func lzLoad32(p []byte, i int) uint32 {
 
 // lzAppendCompress appends the compressed form of src to dst and
 // returns it. The caller compares lengths and keeps the raw payload
-// when compression did not help.
+// when compression did not pay.
 func lzAppendCompress(dst, src []byte, table *[1 << lzHashBits]int32) []byte {
 	// Positions stored +1 so the zero value means "empty"; stale entries
 	// from a previous frame are validated by byte comparison anyway, but
@@ -54,15 +63,19 @@ func lzAppendCompress(dst, src []byte, table *[1 << lzHashBits]int32) []byte {
 	var (
 		pos     int // next byte to process
 		litFrom int // start of the unemitted literal run
+		misses  int // consecutive failed probes since the last match
 	)
 	for pos+4 <= len(src) { // lzLoad32 needs 4 readable bytes at pos
-		h := lzHash(lzLoad32(src, pos))
+		cur := lzLoad32(src, pos)
+		h := lzHash(cur)
 		cand := int(table[h]) - 1
 		table[h] = int32(pos + 1)
-		if cand < 0 || pos-cand > lzMaxOffset || lzLoad32(src, cand) != lzLoad32(src, pos) {
-			pos++
+		if cand < 0 || pos-cand > lzMaxOffset || lzLoad32(src, cand) != cur {
+			pos += 1 + misses>>lzSkipShift
+			misses++
 			continue
 		}
+		misses = 0
 		// Extend the match forward.
 		matchLen := lzMinMatch
 		for pos+matchLen < len(src) && src[cand+matchLen] == src[pos+matchLen] {

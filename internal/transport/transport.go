@@ -91,21 +91,26 @@ type Handler func(Message)
 // BatchHandler consumes one decoded data frame: a batch of KindData
 // messages that crossed the wire together, delivered to node (the
 // receiving server's id — senders tracking per-destination in-flight
-// tuples match it against FlushedHandler's peer). The slice (not the
-// strings inside it) is reused for the connection's next frame, so the
-// handler must finish with it — or copy it — before returning. Like
-// Handler it runs on per-connection reader goroutines and must be safe
-// for concurrent use.
+// tuples match it against FlushedHandler's peer). The slice is reused
+// for the connection's next frame, so the handler must finish with it —
+// or copy the messages — before returning. What the messages point to
+// is never reused: their strings and Values may be kept for as long as
+// the handler likes, at the price that a kept Values slice or a kept
+// string longer than 64 bytes pins the memory of the whole frame it
+// arrived in (see batchDecoder). Like Handler it runs on per-connection
+// reader goroutines and must be safe for concurrent use.
 type BatchHandler func(node int, msgs []Message)
 
 // Compression selects the data-frame encoding (see PROTOCOL.md).
 type Compression int
 
 const (
-	// CompressionAuto interns repeated strings through the per-connection
-	// dictionary and additionally LZ-compresses each flushed batch when —
-	// and only when — that makes the frame smaller on the wire. The
-	// default: skewed workloads are what this transport exists for.
+	// CompressionAuto interns repeated short strings through the
+	// per-connection dictionary and additionally LZ-compresses a flushed
+	// batch when that makes the frame at least an eighth smaller on the
+	// wire, trying less and less often on a connection whose batches do
+	// not compress (see lzBackoffMin). The default: skewed workloads are
+	// what this transport exists for.
 	CompressionAuto Compression = iota
 	// CompressionOff emits plain frameData frames (the PR 4 encoding).
 	CompressionOff
@@ -119,12 +124,21 @@ const (
 // the token overhead eats the win and the scan cost is pure loss.
 const lzMinTry = 512
 
-// lzDeferFlushes is the back-off after an unproductive LZ attempt: skip
-// this many flushes before trying again. Dictionary-interned payloads
-// are often already dense; the back-off keeps the encoder from
-// re-proving that on every frame while still noticing when the stream
-// turns compressible again.
-const lzDeferFlushes = 8
+// The LZ policy, per connection. An attempt is productive when the
+// compressed frame is at least 1/lzMinSaving smaller than the plain one:
+// a frame that shrinks by the few bytes its repeated key references
+// save costs the sender a scan and the receiver an inflate for nothing,
+// so it ships plain. After an unproductive attempt the connection skips
+// lzBackoffMin flushes before the next one, and each further
+// unproductive attempt in a row doubles the skip up to lzBackoffMax; a
+// productive attempt resets it. A stream of incompressible payload thus
+// costs one sampled scan (see lz.go) in 257 frames, and a stream that
+// turns compressible is noticed within that many.
+const (
+	lzMinSaving  = 8
+	lzBackoffMin = 8
+	lzBackoffMax = 256
+)
 
 // Default batching parameters (see NodeOptions).
 const (
@@ -229,6 +243,10 @@ type Node struct {
 
 	wg     sync.WaitGroup
 	closed bool
+
+	// now is the clock the sampled encode timing reads: time.Now, except
+	// in tests that need its readings exact.
+	now func() time.Time
 }
 
 // setPeer/removePeer rebuild the copy-on-write peer map. Callers must
@@ -274,7 +292,7 @@ type queuedFrame struct {
 	class                frameClass
 	tuples               int // KindData tuples inside (classData only)
 	rawBytes             int // raw-encoding equivalent, for the meter's ratio
-	compressed           bool
+	lzTried, compressed  bool
 	reason               metrics.FlushReason
 	dictEntries          int // classDict: entries announced
 	dictHits, dictMisses int // classData: lookup counts for the meter
@@ -305,8 +323,11 @@ type peerConn struct {
 
 	buf    []byte // frameHeaderLen reserved bytes + encoded tuples
 	batchN int    // tuples currently in buf
-	timer  *time.Timer
-	broken bool
+	// encoded counts the tuples ever encoded on this connection; the
+	// encode-time meter samples on it (see encodeSampleMask).
+	encoded uint64
+	timer   *time.Timer
+	broken  bool
 	// idleHint marks buf as hinted (FlushIdle) while frames were staged
 	// or in flight: the flusher stages it when its write returns.
 	idleHint bool
@@ -326,11 +347,28 @@ type peerConn struct {
 	dict     *sendDict
 	rawBytes int
 
-	// LZ scratch, allocated lazily on the first attempt. lzDefer counts
-	// flushes to skip after an unproductive attempt.
-	lzBuf   []byte
-	lzTable *[1 << lzHashBits]int32
-	lzDefer int
+	// LZ scratch, allocated lazily on the first attempt, and the policy
+	// state (see lzBackoffMin): lzDefer counts the flushes still to skip,
+	// lzBackoff is the length of the current skip, 0 after a productive
+	// attempt.
+	lzBuf     []byte
+	lzTable   *[1 << lzHashBits]int32
+	lzDefer   int
+	lzBackoff int
+}
+
+// newPeerConn returns the sending state of one fresh connection. The
+// caller arms pc.timer.
+func newPeerConn(conn net.Conn, opts *NodeOptions) *peerConn {
+	pc := &peerConn{
+		conn: conn,
+		buf:  make([]byte, frameHeaderLen, frameHeaderLen+opts.FlushBytes+4096),
+	}
+	pc.cond = sync.NewCond(&pc.mu)
+	if opts.Compression != CompressionOff {
+		pc.dict = newSendDict()
+	}
+	return pc
 }
 
 // takeBufLocked returns a staging buffer with the frame header
@@ -383,7 +421,7 @@ func NewNodeWith(id int, handler Handler, opts NodeOptions) (*Node, error) {
 	if opts.FlushInterval <= 0 {
 		opts.FlushInterval = DefaultFlushInterval
 	}
-	n := &Node{id: id, ln: ln, handler: handler, opts: opts}
+	n := &Node{id: id, ln: ln, handler: handler, opts: opts, now: time.Now}
 	empty := make(map[int]*peerConn)
 	n.peers.Store(&empty)
 	n.wg.Add(1)
@@ -416,14 +454,7 @@ func (n *Node) Connect(peers map[int]string) error {
 		// and its timer disarmed, and so both ends discard their
 		// dictionaries together (the new connection starts empty).
 		n.DropPeer(id)
-		pc := &peerConn{
-			conn: conn,
-			buf:  make([]byte, frameHeaderLen, frameHeaderLen+n.opts.FlushBytes+4096),
-		}
-		pc.cond = sync.NewCond(&pc.mu)
-		if n.opts.Compression != CompressionOff {
-			pc.dict = newSendDict()
-		}
+		pc := newPeerConn(conn, &n.opts)
 		pc.timer = time.AfterFunc(time.Hour, func() { n.flushExpired(id, pc) })
 		pc.timer.Stop()
 		n.mu.Lock()
@@ -503,6 +534,9 @@ func (n *Node) Send(peer int, msg Message) error {
 // two clock reads per tuple would cost more than the encode itself, so
 // the sampled duration is recorded with 64× weight instead. The
 // resulting EncodeNanos is an estimate — fine for a monitoring counter.
+// The 1-in-64 runs over the connection's tuples, not the batch's: small
+// batches would otherwise have their first tuple timed every time and
+// their encode cost overstated by up to 64×.
 const encodeSampleMask = 63
 
 // sendDataLocked encodes one tuple into the peer's batch, staging on
@@ -512,13 +546,14 @@ const encodeSampleMask = 63
 // flusher's queue is saturated the sender waits here — backpressure,
 // not loss.
 func (n *Node) sendDataLocked(peer int, pc *peerConn, msg *Message) error {
-	if m := n.opts.Meter; m != nil && pc.batchN&encodeSampleMask == 0 {
-		start := time.Now()
+	if m := n.opts.Meter; m != nil && pc.encoded&encodeSampleMask == 0 {
+		start := n.now()
 		pc.appendLocked(msg)
-		m.RecordEncode(int64(time.Since(start)) * (encodeSampleMask + 1))
+		m.RecordEncode(int64(n.now().Sub(start)) * (encodeSampleMask + 1))
 	} else {
 		pc.appendLocked(msg)
 	}
+	pc.encoded++
 	pc.batchN++
 	flushBytes := n.opts.FlushBytes
 	if len(pc.buf)-frameHeaderLen >= flushBytes {
@@ -588,10 +623,11 @@ func (pc *peerConn) appendLocked(msg *Message) {
 // stageBatchLocked hands the peer's pending batch to the flusher as one
 // data frame — preceded by a dictionary-announce frame when tuples in
 // the batch promoted new entries, and wrapped in a compressed frame
-// when the LZ pass actually shrank it. The tuples are credited to
-// FlushedHandler here, before the flusher can possibly write them (the
-// receiver decrements on delivery, so the credit must come first); a
-// later write failure takes the credit back and reports the loss.
+// when an LZ attempt was due and productive (see lzBackoffMin). The
+// tuples are credited to FlushedHandler here, before the flusher can
+// possibly write them (the receiver decrements on delivery, so the
+// credit must come first); a later write failure takes the credit back
+// and reports the loss.
 func (n *Node) stageBatchLocked(peer int, pc *peerConn, reason metrics.FlushReason) error {
 	if pc.batchN == 0 {
 		return nil
@@ -630,31 +666,39 @@ func (n *Node) stageBatchLocked(peer int, pc *peerConn, reason metrics.FlushReas
 		}
 	}
 	frame := pc.buf
-	compressed := false
+	var lzTried, compressed bool
 	if n.opts.Compression == CompressionAuto && len(pc.buf)-frameHeaderLen >= lzMinTry {
 		if pc.lzDefer > 0 {
 			pc.lzDefer--
 		} else {
+			lzTried = true
 			if pc.lzTable == nil {
 				pc.lzTable = new([1 << lzHashBits]int32)
 			}
+			if pc.lzBuf == nil {
+				// The last attempt's buffer left with its frame; written
+				// frames' buffers come back through the free list.
+				pc.lzBuf = pc.takeBufLocked()
+			}
 			payload := pc.buf[frameHeaderLen:]
-			lz := append(pc.lzBuf[:0], 0, 0, 0, 0, 0, typ)
+			lz := append(pc.lzBuf[:frameHeaderLen], typ)
 			lz = binary.AppendUvarint(lz, uint64(len(payload)))
 			lz = lzAppendCompress(lz, payload, pc.lzTable)
 			pc.lzBuf = lz
-			if len(lz) < len(pc.buf) {
+			if len(lz) <= len(pc.buf)-len(pc.buf)/lzMinSaving {
 				putFrameHeader(lz, frameCompressed)
 				frame = lz
 				compressed = true
+				pc.lzBackoff = 0
 			} else {
-				pc.lzDefer = lzDeferFlushes
+				pc.lzBackoff = min(max(2*pc.lzBackoff, lzBackoffMin), lzBackoffMax)
+				pc.lzDefer = pc.lzBackoff
 			}
 		}
 	}
 	if compressed {
 		// The queue takes ownership of the LZ buffer; the batch buffer is
-		// immediately reusable. The next LZ attempt re-grows its scratch.
+		// immediately reusable.
 		pc.lzBuf = nil
 		pc.buf = pc.buf[:frameHeaderLen]
 	} else {
@@ -671,6 +715,7 @@ func (n *Node) stageBatchLocked(peer int, pc *peerConn, reason metrics.FlushReas
 		class:      classData,
 		tuples:     tuples,
 		rawBytes:   rawBytes,
+		lzTried:    lzTried,
 		compressed: compressed,
 		reason:     reason,
 		dictHits:   dictHits,
@@ -821,6 +866,9 @@ func (n *Node) recordWritten(peer int, frames []queuedFrame, count int) {
 		switch f.class {
 		case classData:
 			m.RecordDataFrameSent(f.tuples, len(f.buf), f.rawBytes, f.compressed, f.reason)
+			if f.lzTried {
+				m.RecordLZAttempt()
+			}
 			if tier >= 0 {
 				m.RecordTierSent(tier, f.tuples, len(f.buf))
 			}
@@ -960,7 +1008,9 @@ func (n *Node) accept() {
 // decode error — including a torn frame from a peer that died mid-write
 // — drops the connection without delivering anything partial. The
 // receive dictionary lives and dies with the connection, mirroring the
-// sender's: a reconnecting peer starts announcing from id 0 again.
+// sender's: a reconnecting peer starts announcing from id 0 again. The
+// pooled read buffers are recycled as soon as a frame is decoded:
+// decoded messages never point into them (see batchDecoder).
 func (n *Node) serve(conn net.Conn) {
 	defer n.wg.Done()
 	defer conn.Close()

@@ -36,7 +36,6 @@ type App struct {
 
 	keySplitting   bool
 	splitThreshold float64
-	clusterBlind   bool
 
 	// autoMin/autoMax bound the elastic membership (0/0 without
 	// WithAutoscale); planSeed fixes the rescale planner's tie-breaking.
@@ -150,8 +149,7 @@ func NewApp(topo *Topology, opts ...Option) (*App, error) {
 	app := &App{
 		topo: topo, place: place, live: live, mgr: mgr,
 		keySplitting: o.keySplitting, splitThreshold: o.splitThreshold,
-		clusterBlind: o.optimizer.ClusterBlind,
-		autoMin:      o.autoscaleMin, autoMax: o.autoscaleMax,
+		autoMin: o.autoscaleMin, autoMax: o.autoscaleMax,
 		planSeed:   o.optimizer.Seed,
 		stateStore: stateStore,
 	}
@@ -178,11 +176,6 @@ func buildPlacement(topo *Topology, o options) (*cluster.Placement, error) {
 	}
 	if o.racks != nil || o.clusters != nil {
 		if err := place.AssignTiers(o.racks, o.clusters); err != nil {
-			return nil, err
-		}
-	}
-	if o.tierCosts != nil {
-		if err := place.SetTierCosts(*o.tierCosts); err != nil {
 			return nil, err
 		}
 	}

@@ -151,7 +151,7 @@ func (a *App) NewAutopilot(opts AutopilotOptions) (*Autopilot, error) {
 	if a.keySplitting {
 		ctl.AttachSplitEngine(a.live)
 	}
-	if a.place.Clusters() > 1 && !a.clusterBlind {
+	if a.place.Clusters() > 1 && (lockedManager{app: a}).Levels() != nil {
 		ctl.AttachFederation(lockedManager{app: a}, control.FederationOptions{
 			Clusters: a.place.Clusters(),
 			Confirm:  opts.FederationConfirm,
@@ -194,6 +194,12 @@ func (a *App) StartAutopilot(opts AutopilotOptions) (*Autopilot, error) {
 // reconfiguration lock, so autopilot ticks serialize with manual
 // Reconfigure calls.
 type lockedManager struct{ app *App }
+
+func (m lockedManager) Levels() [][]int {
+	m.app.reconfigMu.Lock()
+	defer m.app.reconfigMu.Unlock()
+	return m.app.mgr.Levels()
+}
 
 func (m lockedManager) Candidate() (*core.Candidate, error) {
 	m.app.reconfigMu.Lock()

@@ -5,7 +5,6 @@
 package locastream_test
 
 import (
-	"strconv"
 	"testing"
 
 	locastream "github.com/locastream/locastream"
@@ -120,133 +119,4 @@ func BenchmarkSimThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim.Inject(gen.Next())
 	}
-}
-
-// BenchmarkLivePipeline measures the live engine's end-to-end tuple rate
-// on the evaluation topology.
-func BenchmarkLivePipeline(b *testing.B) {
-	topo, err := locastream.NewTopology("eval").
-		AddOperator(locastream.Operator{
-			Name: "A", Parallelism: 4, Stateful: true,
-			New: func() locastream.Processor { return locastream.NewCounter(0) },
-		}).
-		AddOperator(locastream.Operator{
-			Name: "B", Parallelism: 4, Stateful: true,
-			New: func() locastream.Processor { return locastream.NewCounter(1) },
-		}).
-		Connect("A", "B", locastream.Fields, 1).
-		Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	app, err := locastream.NewApp(topo,
-		locastream.WithServers(4),
-		locastream.WithMaxInFlight(4096),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer app.Stop()
-	tuples := benchPipelineTuples(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := app.Inject(tuples[i%len(tuples)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	app.Drain()
-}
-
-// benchPipelineTuples prebuilds the injected tuples so pipeline
-// benchmarks measure the engine, not per-iteration key formatting.
-func benchPipelineTuples(n int) []locastream.Tuple {
-	tuples := make([]locastream.Tuple, n)
-	for i := range tuples {
-		k := strconv.Itoa(i)
-		tuples[i] = locastream.Tuple{Values: []string{k, "#" + k}}
-	}
-	return tuples
-}
-
-// BenchmarkReconfiguration measures one full protocol round (collect,
-// optimize, deploy, migrate) on a loaded live application.
-func BenchmarkReconfiguration(b *testing.B) {
-	topo, err := locastream.NewTopology("eval").
-		AddOperator(locastream.Operator{
-			Name: "A", Parallelism: 4, Stateful: true,
-			New: func() locastream.Processor { return locastream.NewCounter(0) },
-		}).
-		AddOperator(locastream.Operator{
-			Name: "B", Parallelism: 4, Stateful: true,
-			New: func() locastream.Processor { return locastream.NewCounter(1) },
-		}).
-		Connect("A", "B", locastream.Fields, 1).
-		Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	app, err := locastream.NewApp(topo, locastream.WithServers(4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer app.Stop()
-	for i := 0; i < 5000; i++ {
-		k := strconv.Itoa(i % 128)
-		_ = app.Inject(locastream.Tuple{Values: []string{k, "#" + k}})
-	}
-	app.Drain()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := app.Reconfigure(); err != nil {
-			b.Fatal(err)
-		}
-		// Keep statistics flowing so each round has fresh data.
-		b.StopTimer()
-		for j := 0; j < 1000; j++ {
-			k := strconv.Itoa((i + j) % 128)
-			_ = app.Inject(locastream.Tuple{Values: []string{k, "#" + k}})
-		}
-		app.Drain()
-		b.StartTimer()
-	}
-}
-
-// BenchmarkLivePipelineTCP is BenchmarkLivePipeline with every
-// cross-server message crossing real localhost TCP connections; the
-// difference against the in-memory variant is the live engine's measured
-// cost of remote transfers.
-func BenchmarkLivePipelineTCP(b *testing.B) {
-	topo, err := locastream.NewTopology("eval").
-		AddOperator(locastream.Operator{
-			Name: "A", Parallelism: 4, Stateful: true,
-			New: func() locastream.Processor { return locastream.NewCounter(0) },
-		}).
-		AddOperator(locastream.Operator{
-			Name: "B", Parallelism: 4, Stateful: true,
-			New: func() locastream.Processor { return locastream.NewCounter(1) },
-		}).
-		Connect("A", "B", locastream.Fields, 1).
-		Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	app, err := locastream.NewApp(topo,
-		locastream.WithServers(4),
-		locastream.WithMaxInFlight(4096),
-		locastream.WithTCPTransport(),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer app.Stop()
-	tuples := benchPipelineTuples(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := app.Inject(tuples[i%len(tuples)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	app.Drain()
 }

@@ -59,7 +59,7 @@ func buildSim(clustered bool) (*locastream.Simulation, error) {
 		locastream.WithClusters([]int{0, 0, 0, 1, 1, 1}),
 	}
 	if !clustered {
-		opts = append(opts, locastream.WithClusterBlindOptimizer())
+		opts = append(opts, locastream.WithFlatOptimizer())
 	}
 	return locastream.NewSimulation(topo, opts...)
 }

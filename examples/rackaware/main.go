@@ -53,8 +53,8 @@ func buildSim(rackAware bool) (*locastream.Simulation, error) {
 		locastream.WithCostModel(model),
 		locastream.WithOptimizer(1.03, 1<<20, 1),
 	}
-	if rackAware {
-		opts = append(opts, locastream.WithRackAwareOptimizer())
+	if !rackAware {
+		opts = append(opts, locastream.WithFlatOptimizer())
 	}
 	return locastream.NewSimulation(topo, opts...)
 }

@@ -2,10 +2,10 @@ package locastream
 
 import (
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"github.com/locastream/locastream/internal/checkpoint"
+	"github.com/locastream/locastream/internal/statestore"
 )
 
 // FaultEvent is one fault-tolerance lifecycle notification.
@@ -30,12 +30,6 @@ type CheckpointStore = checkpoint.Store
 // NewMemoryCheckpointStore returns an in-process checkpoint store.
 func NewMemoryCheckpointStore() CheckpointStore { return &checkpoint.MemoryStore{} }
 
-// NewFileCheckpointStore returns a checkpoint store appending JSONL
-// records to the given file (reloaded, last-record-wins, on Load).
-func NewFileCheckpointStore(path string) (CheckpointStore, error) {
-	return checkpoint.NewFileStore(path)
-}
-
 // FaultStatus is the fault-tolerance subsystem's public state.
 type FaultStatus = checkpoint.Status
 
@@ -56,8 +50,9 @@ type FaultToleranceOptions struct {
 	// thresholds (defaults 2s and 6s).
 	SuspectAfter time.Duration
 	ConfirmAfter time.Duration
-	// Dir, when set, persists checkpoints to a JSONL file under this
-	// directory (created if needed).
+	// Dir, when set, persists checkpoints to a tiered state store the
+	// subsystem opens in this directory (created if needed) and closes
+	// on Stop.
 	Dir string
 	// Store overrides Dir with a custom checkpoint store. When neither
 	// is set and the App was built with WithStateStore, checkpoints go
@@ -84,7 +79,7 @@ type FaultToleranceOptions struct {
 // concurrent use.
 type FaultTolerance struct {
 	sup   *checkpoint.Supervisor
-	owned *checkpoint.FileStore // closed on Stop when we created it
+	owned *statestore.Store // closed on Stop when we created it
 }
 
 // NewFaultTolerance builds the subsystem without starting its loop;
@@ -93,12 +88,12 @@ func (a *App) NewFaultTolerance(opts FaultToleranceOptions) (*FaultTolerance, er
 	ft := &FaultTolerance{}
 	store := opts.Store
 	if store == nil && opts.Dir != "" {
-		fs, err := checkpoint.NewFileStore(filepath.Join(opts.Dir, "checkpoints.jsonl"))
+		owned, err := statestore.Open(opts.Dir, statestore.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("locastream: open checkpoint store: %w", err)
 		}
-		store = fs
-		ft.owned = fs
+		store = owned
+		ft.owned = owned
 	}
 	if store == nil && a.stateStore != nil {
 		// WithStateStore: checkpoints land in the tiered queryable store,
@@ -180,7 +175,7 @@ func (ft *FaultTolerance) Recoveries() []RecoveryReport { return ft.sup.Recoveri
 // Start launches the background loop (no-op when already running).
 func (ft *FaultTolerance) Start() { ft.sup.Start() }
 
-// Stop halts the background loop and closes the checkpoint file when
+// Stop halts the background loop and closes the checkpoint store when
 // the subsystem opened one (checkpoints taken after that fail to
 // persist — create the subsystem with an explicit Store to manage the
 // store's lifetime yourself). Idempotent.

@@ -50,8 +50,8 @@ func TestFaultToleranceFailover(t *testing.T) {
 	if err := ft.Tick(t0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "checkpoints.jsonl")); err != nil {
-		t.Fatalf("checkpoint file missing: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "MANIFEST")); err != nil {
+		t.Fatalf("checkpoint store manifest missing: %v", err)
 	}
 
 	// Kill one server and let the manual clock confirm it.

@@ -78,7 +78,7 @@ func TestFederationDrill(t *testing.T) {
 			WithMaxInFlight(4096),
 		}
 		if blind {
-			opts = append(opts, WithClusterBlindOptimizer())
+			opts = append(opts, WithFlatOptimizer())
 		}
 		app, err := NewApp(federationTopo(t, parallelism), opts...)
 		if err != nil {

@@ -18,11 +18,6 @@
 package checkpoint
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
 	"sort"
 	"sync"
 
@@ -164,148 +159,4 @@ func (m *MemoryStore) Load() ([]engine.KeyState, error) {
 	return m.recs.Sorted(), nil
 }
 
-// fileRecord is the JSONL wire form of one checkpointed key. Data is
-// base64 in the file (encoding/json's []byte convention); a nil Data
-// round-trips as null, preserving the has-state distinction.
-type fileRecord struct {
-	Op   string `json:"op"`
-	Inst int    `json:"inst"`
-	Key  string `json:"key"`
-	Data []byte `json:"data"`
-	// Split-key annotation (see engine.KeyState); absent for ordinary
-	// records so pre-split checkpoint files parse unchanged.
-	Split    bool  `json:"split,omitempty"`
-	Replicas []int `json:"replicas,omitempty"`
-}
-
-// FileStore appends checkpoints to a JSONL file, one record per line,
-// and reloads the merged image (last line per key wins) on Load — so a
-// store reopened after a process restart recovers the same image the
-// previous process would have. Safe for concurrent use.
-type FileStore struct {
-	path string
-
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
-}
-
-// NewFileStore opens (creating if needed) the JSONL checkpoint file at
-// path.
-func NewFileStore(path string) (*FileStore, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: open store: %w", err)
-	}
-	return &FileStore{path: path, f: f, w: bufio.NewWriter(f)}, nil
-}
-
-// Append implements Store: records are written as JSON lines and
-// fsynced as a batch, so a checkpoint is durable before the supervisor
-// considers it taken.
-func (s *FileStore) Append(recs []engine.KeyState) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("checkpoint: store %s is closed", s.path)
-	}
-	for _, r := range recs {
-		line, err := json.Marshal(fileRecord{
-			Op: r.Op, Inst: r.Inst, Key: r.Key, Data: r.Data,
-			Split: r.Split, Replicas: r.Replicas,
-		})
-		if err != nil {
-			return fmt.Errorf("checkpoint: encode record: %w", err)
-		}
-		line = append(line, '\n')
-		if _, err := s.w.Write(line); err != nil {
-			return fmt.Errorf("checkpoint: write store: %w", err)
-		}
-	}
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("checkpoint: flush store: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: sync store: %w", err)
-	}
-	return nil
-}
-
-// maxLineBytes caps one JSONL record line on reload; a record this
-// large means the file is damaged or the store was misused, and the
-// error says so instead of surfacing a bare bufio.ErrTooLong.
-const maxLineBytes = 16 * 1024 * 1024
-
-// Load implements Store: the whole file is replayed and merged. Only a
-// truncated *final* line (crash mid-append) is skipped rather than
-// failing the load — every complete line before it is still a valid
-// prefix of the checkpoint history. An unparseable line with more data
-// after it cannot be a torn tail: it is interior corruption, and
-// silently dropping it would resurrect a stale version of those keys,
-// so the load fails instead.
-func (s *FileStore) Load() ([]engine.KeyState, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w != nil {
-		if err := s.w.Flush(); err != nil {
-			return nil, fmt.Errorf("checkpoint: flush store: %w", err)
-		}
-	}
-	f, err := os.Open(s.path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: open store: %w", err)
-	}
-	defer f.Close()
-	merged := make(Image)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	line := 0
-	tornLine := 0 // 1-based line number of a decode failure, 0 if none
-	for sc.Scan() {
-		line++
-		if tornLine != 0 {
-			return nil, fmt.Errorf("checkpoint: corrupt record at %s:%d (not the final line)", s.path, tornLine)
-		}
-		var rec fileRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			// Tolerated only if nothing follows (torn tail write).
-			tornLine = line
-			continue
-		}
-		merged.Merge([]engine.KeyState{{
-			Op: rec.Op, Inst: rec.Inst, Key: rec.Key, Data: rec.Data,
-			Split: rec.Split, Replicas: rec.Replicas,
-		}})
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return nil, fmt.Errorf("checkpoint: record on %s:%d exceeds the %d MiB line cap (oversized or corrupt record): %w",
-				s.path, line+1, maxLineBytes>>20, err)
-		}
-		return nil, fmt.Errorf("checkpoint: read store: %w", err)
-	}
-	return merged.Sorted(), nil
-}
-
-// Close flushes and closes the underlying file. Idempotent.
-func (s *FileStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.w.Flush()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	s.f, s.w = nil, nil
-	return err
-}
-
-var (
-	_ Store = (*MemoryStore)(nil)
-	_ Store = (*FileStore)(nil)
-)
+var _ Store = (*MemoryStore)(nil)

@@ -1,12 +1,7 @@
 package checkpoint
 
 import (
-	"bufio"
-	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/locastream/locastream/internal/engine"
@@ -20,11 +15,11 @@ func rec(op, key string, inst int, data string) engine.KeyState {
 	return engine.KeyState{Op: op, Inst: inst, Key: key, Data: d}
 }
 
-// testStoreMerge exercises the Store contract shared by both
-// implementations: incremental appends fold into a last-record-wins
-// image, sorted by operator then key.
-func testStoreMerge(t *testing.T, store Store) {
-	t.Helper()
+// TestMemoryStoreMerge exercises the Store contract: incremental
+// appends fold into a last-record-wins image, sorted by operator then
+// key.
+func TestMemoryStoreMerge(t *testing.T) {
+	var store Store = &MemoryStore{}
 	if recs, err := store.Load(); err != nil || len(recs) != 0 {
 		t.Fatalf("empty store: recs=%v err=%v", recs, err)
 	}
@@ -58,19 +53,6 @@ func testStoreMerge(t *testing.T, store Store) {
 	}
 }
 
-func TestMemoryStoreMerge(t *testing.T) {
-	testStoreMerge(t, &MemoryStore{})
-}
-
-func TestFileStoreMerge(t *testing.T) {
-	fs, err := NewFileStore(filepath.Join(t.TempDir(), "ckpt.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	testStoreMerge(t, fs)
-}
-
 func splitRec(op, key string, inst int, data string, replicas ...int) engine.KeyState {
 	r := rec(op, key, inst, data)
 	r.Split = true
@@ -78,13 +60,13 @@ func splitRec(op, key string, inst int, data string, replicas ...int) engine.Key
 	return r
 }
 
-// testStoreSplitPartials exercises the split-key exception to
+// TestMemoryStoreSplitPartials exercises the split-key exception to
 // last-record-wins: while a key is split the image retains one partial
 // per replica instance, a new replica set prunes partials from the old
 // epoch, and a post-demote (non-split) record collapses the key back to
 // a single record.
-func testStoreSplitPartials(t *testing.T, store Store) {
-	t.Helper()
+func TestMemoryStoreSplitPartials(t *testing.T) {
+	var store Store = &MemoryStore{}
 	if err := store.Append([]engine.KeyState{
 		splitRec("B", "hot", 1, "p1", 1, 2),
 		splitRec("B", "hot", 2, "p2", 1, 2),
@@ -140,210 +122,5 @@ func testStoreSplitPartials(t *testing.T, store Store) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("image after demote = %+v, want %+v", got, want)
-	}
-}
-
-func TestMemoryStoreSplitPartials(t *testing.T) {
-	testStoreSplitPartials(t, &MemoryStore{})
-}
-
-func TestFileStoreSplitPartials(t *testing.T) {
-	fs, err := NewFileStore(filepath.Join(t.TempDir(), "ckpt.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	testStoreSplitPartials(t, fs)
-}
-
-// TestFileStoreSplitReopen verifies the split annotation survives a
-// process restart: partials written before a crash reload as partials,
-// not as a collapsed single record.
-func TestFileStoreSplitReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	fs, err := NewFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Append([]engine.KeyState{
-		splitRec("B", "hot", 0, "p0", 0, 2),
-		splitRec("B", "hot", 2, "p2", 0, 2),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := NewFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	got, err := re.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []engine.KeyState{
-		splitRec("B", "hot", 0, "p0", 0, 2),
-		splitRec("B", "hot", 2, "p2", 0, 2),
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("reopened split image = %+v, want %+v", got, want)
-	}
-}
-
-// TestFileStoreReopen verifies the restart path: a store reopened on the
-// same file recovers the image the previous process persisted.
-func TestFileStoreReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	fs, err := NewFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Append([]engine.KeyState{rec("A", "k1", 0, "v1")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Append([]engine.KeyState{rec("A", "k1", 0, "v2")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal("second Close errored:", err)
-	}
-	if err := fs.Append(nil); err == nil {
-		t.Fatal("Append after Close succeeded")
-	} else if err := fs.Append([]engine.KeyState{rec("A", "x", 0, "v")}); err == nil {
-		t.Fatal("Append after Close succeeded")
-	}
-
-	re, err := NewFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	got, err := re.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || string(got[0].Data) != "v2" {
-		t.Fatalf("reopened image = %+v, want single A/k1=v2", got)
-	}
-}
-
-// TestFileStoreTornTail verifies crash tolerance: a truncated final line
-// (interrupted append) is skipped, every complete line still loads.
-func TestFileStoreTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	fs, err := NewFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Append([]engine.KeyState{rec("A", "k1", 0, "good")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"A","inst":0,"key":"k2","da`); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := NewFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	got, err := re.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Key != "k1" {
-		t.Fatalf("image after torn tail = %+v, want only the complete record", got)
-	}
-}
-
-// TestFileStoreInteriorCorruption verifies that only a torn *final*
-// line is tolerated: a corrupt line with complete records after it is
-// interior damage — silently skipping it would reload a stale version
-// of those keys — so Load must fail loudly instead.
-func TestFileStoreInteriorCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	fs, err := NewFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Append([]engine.KeyState{rec("A", "k1", 0, "v1")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("{\"op\":\"A\",\"inst\":0,\"key\":\"k2\",\"da\n"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// With the corrupt line last, Load still succeeds (torn tail).
-	re, err := NewFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := re.Load(); err != nil || len(got) != 1 {
-		t.Fatalf("torn-tail load = %+v, %v; want the one complete record", got, err)
-	}
-	// A later complete append moves the corruption into the interior.
-	if err := re.Append([]engine.KeyState{rec("A", "k1", 0, "v2")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := re.Load(); err == nil {
-		t.Fatal("Load silently skipped an interior corrupt line")
-	} else if !strings.Contains(err.Error(), "corrupt record") {
-		t.Fatalf("interior corruption error = %v, want a corrupt-record error", err)
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFileStoreOversizedRecord verifies the scanner's line cap surfaces
-// as a descriptive oversized-record error, not a bare bufio.ErrTooLong.
-func TestFileStoreOversizedRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	huge := make([]byte, maxLineBytes+2)
-	for i := range huge {
-		huge[i] = 'x'
-	}
-	huge[len(huge)-1] = '\n'
-	if err := os.WriteFile(path, huge, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := NewFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	_, err = fs.Load()
-	if err == nil {
-		t.Fatal("Load accepted a record beyond the line cap")
-	}
-	if !errors.Is(err, bufio.ErrTooLong) {
-		t.Fatalf("oversized-record error = %v, want to wrap bufio.ErrTooLong", err)
-	}
-	if !strings.Contains(err.Error(), "line cap") {
-		t.Fatalf("oversized-record error = %v, want a descriptive line-cap message", err)
 	}
 }

@@ -7,51 +7,32 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 
+	"github.com/locastream/locastream/internal/metrics"
 	"github.com/locastream/locastream/internal/topology"
 )
 
-// Locality tiers, cheapest first. Tier(from, to) classifies a transfer
-// between two servers; TierCosts prices each class relative to a
-// same-rack remote hop.
-const (
-	// TierServer: both instances on the same server (in-process hand-off).
-	TierServer = iota
-	// TierRack: different servers sharing a rack (one ToR switch hop).
-	TierRack
-	// TierCluster: different racks inside one cluster (aggregation layer).
-	TierCluster
-	// TierRegion: different clusters (the metered cross-region link).
-	TierRegion
-	// NumTiers is the number of locality tiers.
-	NumTiers
-)
-
 // TierCosts is the relative transfer cost of each locality tier, indexed
-// by the Tier* constants. Costs must be non-negative and non-decreasing
-// from TierServer to TierRegion.
-type TierCosts [NumTiers]float64
-
-// DefaultTierCosts prices the hierarchy the way the federation layer
-// assumes it: in-process free, rack hop 1, cross-rack 4, and the
-// cross-cluster link 100× a rack hop — the gate every federated
-// migration must amortize.
-func DefaultTierCosts() TierCosts { return TierCosts{0, 1, 4, 100} }
+// by the metrics.Tier* constants: in-process free, rack hop 1,
+// cross-rack 4, and the cross-cluster link 100× a rack hop — the gate
+// every federated migration must amortize.
+var TierCosts = [metrics.NumTiers]float64{0, 1, 4, 100}
 
 // Placement maps every operator instance to the server hosting it, and
-// every server to a rack and a cluster (a single rack in a single
-// cluster by default). The rack and cluster tiers feed the hierarchical
-// locality extension sketched in the paper's conclusion: the partitioner
-// splits keys across clusters before racks before servers, and the
-// federation layer prices cross-cluster moves with TierCosts.
+// every server to a rack inside a cluster (one rack in one cluster by
+// default). The tiers feed the hierarchical locality extension sketched
+// in the paper's conclusion: the partitioner splits keys across clusters
+// before racks before servers (Levels), and traffic is classified by the
+// cheapest tier two servers share (Tier).
 type Placement struct {
-	servers   int
-	serverOf  map[string][]int // op -> instance index -> server
-	rackOf    []int            // server -> rack
-	racks     int
-	clusterOf []int // server -> cluster
-	clusters  int
-	costs     TierCosts
+	servers  int
+	serverOf map[string][]int // op -> instance index -> server
+	// levels is the tier list set by AssignTiers, outermost first:
+	// levels[0][s] is the cluster and levels[1][s] the rack of server s,
+	// both numbered densely, rack numbers unique across clusters. Nil
+	// until tiers are assigned.
+	levels [][]int
 }
 
 // NewRoundRobin places instance i of every operator on server i mod
@@ -74,15 +55,7 @@ func NewRoundRobin(t *topology.Topology, servers int) (*Placement, error) {
 }
 
 func newPlacement(servers int) *Placement {
-	return &Placement{
-		servers:   servers,
-		serverOf:  make(map[string][]int),
-		rackOf:    make([]int, servers),
-		racks:     1,
-		clusterOf: make([]int, servers),
-		clusters:  1,
-		costs:     DefaultTierCosts(),
-	}
+	return &Placement{servers: servers, serverOf: make(map[string][]int)}
 }
 
 // NewExplicit builds a placement from an explicit map of operator name to
@@ -112,188 +85,130 @@ func NewExplicit(t *topology.Topology, servers int, assign map[string][]int) (*P
 	return p, nil
 }
 
-// AssignRacks maps servers to racks. rackOf must list one non-negative
-// rack per server; rack numbering may be sparse. When clusters were
-// already assigned, every rack must stay within one cluster.
-func (p *Placement) AssignRacks(rackOf []int) error {
-	if len(rackOf) != p.servers {
-		return fmt.Errorf("cluster: %d rack entries for %d servers", len(rackOf), p.servers)
-	}
-	racks := 0
-	for s, r := range rackOf {
-		if r < 0 {
-			return fmt.Errorf("cluster: server %d has negative rack %d", s, r)
-		}
-		if r+1 > racks {
-			racks = r + 1
-		}
-	}
-	if p.clusters > 1 && racks > 1 {
-		if err := checkNesting(rackOf, p.clusterOf); err != nil {
-			return err
-		}
-	}
-	p.rackOf = append([]int(nil), rackOf...)
-	p.racks = racks
-	return nil
-}
-
-// AssignClusters maps servers to clusters. clusterOf must list one
-// non-negative cluster per server; cluster numbering may be sparse.
-// When racks were already assigned, every rack must stay within one
-// cluster (a physical rack cannot straddle the cross-region link).
-func (p *Placement) AssignClusters(clusterOf []int) error {
-	if len(clusterOf) != p.servers {
-		return fmt.Errorf("cluster: %d cluster entries for %d servers", len(clusterOf), p.servers)
-	}
-	clusters := 0
-	for s, c := range clusterOf {
-		if c < 0 {
-			return fmt.Errorf("cluster: server %d has negative cluster %d", s, c)
-		}
-		if c+1 > clusters {
-			clusters = c + 1
-		}
-	}
-	if p.racks > 1 && clusters > 1 {
-		if err := checkNesting(p.rackOf, clusterOf); err != nil {
-			return err
-		}
-	}
-	p.clusterOf = append([]int(nil), clusterOf...)
-	p.clusters = clusters
-	return nil
-}
-
-// AssignTiers installs the full server→rack→cluster tier list in one
-// call; both lists must have one entry per server. Either may be nil to
-// keep the default flat assignment for that tier. The update is atomic:
-// on any validation error the placement keeps its previous tiers.
+// AssignTiers declares the deployment's hierarchy: the rack and the
+// cluster of every server, one non-negative id per server. Ids need not
+// be dense — they are renumbered 0..n-1 in ascending order. A nil
+// clusterOf means one cluster; a nil rackOf means one rack per cluster.
+// Every rack must stay within one cluster (a physical rack cannot
+// straddle the cross-region link). On error the placement keeps its
+// previous tiers.
 func (p *Placement) AssignTiers(rackOf, clusterOf []int) error {
-	savedRackOf, savedRacks := p.rackOf, p.racks
-	savedClusterOf, savedClusters := p.clusterOf, p.clusters
-	restore := func() {
-		p.rackOf, p.racks = savedRackOf, savedRacks
-		p.clusterOf, p.clusters = savedClusterOf, savedClusters
+	if clusterOf == nil {
+		clusterOf = make([]int, p.servers)
 	}
-	if clusterOf != nil {
-		if err := p.AssignClusters(clusterOf); err != nil {
-			restore()
-			return err
+	if rackOf == nil {
+		rackOf = clusterOf
+	}
+	clusters, err := p.compact("cluster", clusterOf)
+	if err != nil {
+		return err
+	}
+	racks, err := p.compact("rack", rackOf)
+	if err != nil {
+		return err
+	}
+	first := make(map[int]int) // rack -> first server seen in it
+	for s, r := range racks {
+		if s0, ok := first[r]; !ok {
+			first[r] = s
+		} else if clusters[s0] != clusters[s] {
+			return fmt.Errorf("cluster: rack %d spans clusters %d and %d", rackOf[s], clusterOf[s0], clusterOf[s])
 		}
 	}
-	if rackOf != nil {
-		if err := p.AssignRacks(rackOf); err != nil {
-			restore()
-			return err
-		}
-	}
+	p.levels = [][]int{clusters, racks}
 	return nil
 }
 
-// checkNesting rejects rack numbers that span clusters.
-func checkNesting(rackOf, clusterOf []int) error {
-	clusterOfRack := make(map[int]int)
-	for s, r := range rackOf {
-		if prev, ok := clusterOfRack[r]; ok {
-			if prev != clusterOf[s] {
-				return fmt.Errorf("cluster: rack %d spans clusters %d and %d", r, prev, clusterOf[s])
-			}
-		} else {
-			clusterOfRack[r] = clusterOf[s]
+// compact validates one tier's server→id list and renumbers its ids
+// densely, preserving their order.
+func (p *Placement) compact(tier string, ids []int) ([]int, error) {
+	if len(ids) != p.servers {
+		return nil, fmt.Errorf("cluster: %d %s entries for %d servers", len(ids), tier, p.servers)
+	}
+	sorted := append([]int(nil), ids...)
+	sort.Ints(sorted)
+	if sorted[0] < 0 {
+		return nil, fmt.Errorf("cluster: negative %s %d", tier, sorted[0])
+	}
+	dense := make(map[int]int)
+	for _, id := range sorted {
+		if _, ok := dense[id]; !ok {
+			dense[id] = len(dense)
 		}
 	}
-	return nil
+	out := make([]int, len(ids))
+	for s, id := range ids {
+		out[s] = dense[id]
+	}
+	return out, nil
 }
 
-// SetTierCosts overrides the relative per-tier transfer costs. Costs
-// must be non-negative and non-decreasing from TierServer to TierRegion.
-func (p *Placement) SetTierCosts(costs TierCosts) error {
-	if costs[0] < 0 {
-		return fmt.Errorf("cluster: negative tier cost %v", costs[0])
-	}
-	for t := 1; t < NumTiers; t++ {
-		if costs[t] < costs[t-1] {
-			return fmt.Errorf("cluster: tier costs must be non-decreasing, got %v", costs)
-		}
-	}
-	p.costs = costs
-	return nil
-}
-
-// Costs returns the per-tier transfer costs.
-func (p *Placement) Costs() TierCosts { return p.costs }
+// Levels returns the tier list for partition.Nested, outermost first
+// (cluster, then rack; the caller must not modify it) — nil when no
+// tiers were assigned, i.e. the deployment is flat.
+func (p *Placement) Levels() [][]int { return p.levels }
 
 // Servers returns the number of servers.
 func (p *Placement) Servers() int { return p.servers }
 
-// Racks returns the number of racks (1 unless AssignRacks was called).
-func (p *Placement) Racks() int { return p.racks }
+// group returns the dense id of a server's group on one level: 0 while
+// no tiers are assigned, -1 for invalid servers.
+func (p *Placement) group(level, server int) int {
+	if server < 0 || server >= p.servers {
+		return -1
+	}
+	if p.levels == nil {
+		return 0
+	}
+	return p.levels[level][server]
+}
 
 // RackOf returns the rack of a server (-1 for invalid servers).
-func (p *Placement) RackOf(server int) int {
-	if server < 0 || server >= p.servers {
-		return -1
-	}
-	return p.rackOf[server]
-}
-
-// RackAssignment returns a copy of the server-to-rack map.
-func (p *Placement) RackAssignment() []int {
-	return append([]int(nil), p.rackOf...)
-}
-
-// Clusters returns the number of clusters (1 unless AssignClusters was
-// called).
-func (p *Placement) Clusters() int { return p.clusters }
+func (p *Placement) RackOf(server int) int { return p.group(1, server) }
 
 // ClusterOf returns the cluster of a server (-1 for invalid servers).
-func (p *Placement) ClusterOf(server int) int {
-	if server < 0 || server >= p.servers {
-		return -1
-	}
-	return p.clusterOf[server]
-}
+func (p *Placement) ClusterOf(server int) int { return p.group(0, server) }
 
-// ClusterAssignment returns a copy of the server-to-cluster map.
-func (p *Placement) ClusterAssignment() []int {
-	return append([]int(nil), p.clusterOf...)
+// Clusters returns the number of clusters (1 unless AssignTiers declared
+// more).
+func (p *Placement) Clusters() int {
+	n := 1
+	for s := 0; s < p.servers; s++ {
+		if c := p.ClusterOf(s) + 1; c > n {
+			n = c
+		}
+	}
+	return n
 }
 
 // ServersInCluster returns the server indices assigned to cluster c.
 func (p *Placement) ServersInCluster(c int) []int {
 	var out []int
-	for s, sc := range p.clusterOf {
-		if sc == c {
+	for s := 0; s < p.servers; s++ {
+		if p.ClusterOf(s) == c {
 			out = append(out, s)
 		}
 	}
 	return out
 }
 
-// Tier classifies a transfer between two servers into a locality tier.
-// The cluster boundary dominates: two servers in different clusters are
-// TierRegion regardless of rack numbering. Invalid servers map to
-// TierRegion, the most conservative class.
+// Tier classifies a transfer between two servers into a locality tier
+// (metrics.TierServer..TierRegion). Invalid servers map to TierRegion,
+// the most conservative class.
 func (p *Placement) Tier(from, to int) int {
 	if from < 0 || from >= p.servers || to < 0 || to >= p.servers {
-		return TierRegion
+		return metrics.TierRegion
 	}
 	if from == to {
-		return TierServer
+		return metrics.TierServer
 	}
-	if p.clusterOf[from] != p.clusterOf[to] {
-		return TierRegion
+	switch {
+	case p.ClusterOf(from) != p.ClusterOf(to):
+		return metrics.TierRegion
+	case p.RackOf(from) != p.RackOf(to):
+		return metrics.TierCluster
 	}
-	if p.rackOf[from] != p.rackOf[to] {
-		return TierCluster
-	}
-	return TierRack
-}
-
-// TierCost returns the relative cost of a transfer between two servers.
-func (p *Placement) TierCost(from, to int) float64 {
-	return p.costs[p.Tier(from, to)]
+	return metrics.TierRack
 }
 
 // Parallelism returns the instance count of op (0 when unknown).

@@ -90,7 +90,7 @@ type FederationStatus struct {
 	Confirm      int `json:"confirm"`
 	CooldownLeft int `json:"cooldown_left"`
 	// CostMultiplier is the inter-cluster cost multiple the gate
-	// charges (from the placement's tier costs; 100 by default).
+	// charges (the region/rack ratio of cluster.TierCosts: 100).
 	CostMultiplier float64 `json:"cost_multiplier"`
 	// LastCrossKeys/LastCrossSaved describe the most recent candidate's
 	// cross-cluster move set, whether or not it was approved.

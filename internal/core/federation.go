@@ -3,7 +3,9 @@ package core
 import (
 	"sort"
 
+	"github.com/locastream/locastream/internal/cluster"
 	"github.com/locastream/locastream/internal/engine"
+	"github.com/locastream/locastream/internal/metrics"
 	"github.com/locastream/locastream/internal/routing"
 )
 
@@ -12,7 +14,7 @@ import (
 // cluster's intra-cluster moves, plus the cross-cluster remainder. The
 // federation layer gates each part separately — local moves pay the
 // ordinary per-key migration cost, cross-cluster moves pay the
-// inter-cluster multiple (100× by default) — and merges the approved
+// inter-cluster multiple (100×) — and merges the approved
 // parts into one deployment.
 type FederatedCandidate struct {
 	// Global is the unrestricted tiered candidate the parts were carved
@@ -62,7 +64,7 @@ type CrossCandidate struct {
 	// SavedInterClusterPerPeriod is their difference.
 	SavedInterClusterPerPeriod float64
 	// CostMultiplier is the inter-cluster transfer cost relative to a
-	// same-rack hop (the placement's TierCosts ratio, 100 by default):
+	// same-rack hop (the cluster.TierCosts ratio, 100):
 	// migrating a key across clusters ships its state over the metered
 	// link, so the gate charges this multiple of the ordinary per-key
 	// cost.
@@ -98,10 +100,11 @@ type keyMove struct {
 // federation gate should be judging. Only clusters with equal server
 // counts may trade labels (the bijection must preserve capacity); the
 // remap sends each candidate server to its positional counterpart in
-// the relabeled cluster, so intra-cluster structure is untouched.
+// the relabeled cluster, so intra-cluster structure is untouched. A
+// no-op unless the partitioner split keys across clusters.
 func (m *Manager) alignClusters(current, cand map[string]*routing.Table) {
 	clusters := m.place.Clusters()
-	if clusters < 2 {
+	if clusters < 2 || m.opt.Levels() == nil {
 		return
 	}
 
@@ -262,14 +265,7 @@ func (m *Manager) FederatedCandidate(costPerKey float64) (*FederatedCandidate, e
 		})
 	}
 
-	costs := m.place.Costs()
-	mult := costs[len(costs)-1]
-	if rack := costs[1]; rack > 0 {
-		mult = mult / rack
-	}
-	if mult < 1 {
-		mult = 1
-	}
+	mult := cluster.TierCosts[metrics.TierRegion] / cluster.TierCosts[metrics.TierRack]
 
 	// Per-key pruning: keep only cross moves that individually clear the
 	// inter-cluster gate.

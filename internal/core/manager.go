@@ -227,13 +227,11 @@ func (m *Manager) Candidate() (*Candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.opt.tieredEnabled() {
-		// Two-level partitions are label-unstable across windows: align
-		// the candidate's cluster labels with the deployed configuration
-		// before estimating impact, so a cosmetic cluster swap never
-		// masquerades as a full cross-cluster migration.
-		m.alignClusters(m.tables, tables)
-	}
+	// Nested partitions are label-unstable across windows: align the
+	// candidate's cluster labels with the deployed configuration before
+	// estimating impact, so a cosmetic cluster swap never masquerades as
+	// a full cross-cluster migration.
+	m.alignClusters(m.tables, tables)
 	return &Candidate{
 		Tables: tables,
 		Plan:   plan,
@@ -338,6 +336,10 @@ func (m *Manager) Tables() map[string]*routing.Table { return cloneTables(m.tabl
 // (ascending; nil restores full capacity), so every future candidate
 // assigns keys to active servers only.
 func (m *Manager) SetActiveServers(active []int) { m.opt.SetActiveServers(active) }
+
+// Levels returns the tier list the optimizer's partitioner follows (see
+// Optimizer.Levels); nil means it partitions flat.
+func (m *Manager) Levels() [][]int { return m.opt.Levels() }
 
 // DeployRescale persists and rolls out a rescale plan: precomputed
 // tables plus the exact key moves the planner chose — unlike deploy,

@@ -30,16 +30,12 @@ type OptimizerOptions struct {
 	// selects its defaults).
 	CoarsenTo    int
 	RefinePasses int
-	// RackAware partitions hierarchically when the placement defines
-	// more than one rack: keys are first split across racks (minimizing
-	// the expensive inter-rack traffic) and then across each rack's
-	// servers — the extension sketched in the paper's conclusion.
-	RackAware bool
-	// ClusterBlind partitions flat even when the placement defines
-	// several clusters — the baseline for measuring what the two-level
-	// cluster partition buys. Cluster traffic accounting and simulation
-	// costs still apply; only the partitioner ignores the boundary.
-	ClusterBlind bool
+	// Flat makes the partitioner ignore the racks and clusters the
+	// placement declares — the baseline for measuring what the nested
+	// partition buys. Traffic accounting and simulation costs still see
+	// the tiers; only the partitioner (and with it the federation layer)
+	// does not.
+	Flat bool
 }
 
 // Plan reports what a computed configuration promises. The expected
@@ -167,24 +163,7 @@ func (o *Optimizer) ComputeTablesSplit(stats []engine.PairStat, splits []engine.
 		popts.K = len(servers)
 	}
 	pg := &partition.Graph{Weights: weights, Adj: adj}
-	var (
-		res *partition.Result
-		err error
-	)
-	// Hierarchical partitioning assumes the full server set; a
-	// restricted elastic membership partitions flat until the cluster is
-	// back at capacity. A placement with several clusters partitions
-	// keys→cluster first (the cross-region link dominates every other
-	// cost) unless ClusterBlind asks for the flat baseline; the rack
-	// level additionally needs RackAware.
-	switch {
-	case o.place.Clusters() > 1 && !o.opts.ClusterBlind && servers == nil:
-		res, err = partition.Tiered(pg, o.place.RackAssignment(), o.place.ClusterAssignment(), popts)
-	case o.opts.RackAware && o.place.Racks() > 1 && servers == nil:
-		res, err = partition.Hierarchical(pg, o.place.RackAssignment(), popts)
-	default:
-		res, err = partition.Partition(pg, popts)
-	}
+	res, err := partition.Nested(pg, o.Levels(), popts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: partition key graph: %w", err)
 	}
@@ -264,11 +243,17 @@ func (o *Optimizer) pinSplitKeys(tables map[string]*routing.Table, splitKeys map
 	}
 }
 
-// tieredEnabled reports whether the two-level cluster partition is in
-// effect: a multi-cluster placement, not cluster-blind, and the full
-// (non-elastic) membership — the first case of the partition switch.
-func (o *Optimizer) tieredEnabled() bool {
-	return o.place.Clusters() > 1 && !o.opts.ClusterBlind && o.active == nil
+// Levels returns the tier list the partitioner follows, outermost
+// first: the placement's racks and clusters, or nil — partition flat —
+// when the placement declares none, when Flat asks for the baseline, or
+// while the elastic membership is restricted (the tiers describe the full
+// server set; a shrunk cluster partitions flat until it is back at
+// capacity). Every "is the hierarchy in effect" decision reads this.
+func (o *Optimizer) Levels() [][]int {
+	if o.opts.Flat || o.active != nil {
+		return nil
+	}
+	return o.place.Levels()
 }
 
 // instanceOn picks the instance of op on the given server that should own

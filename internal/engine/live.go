@@ -940,11 +940,9 @@ type resolvedEdge struct {
 	keyField int
 	policy   routing.Policy
 
-	targets     []*executor // recipient instance -> executor
-	server      []int       // recipient instance -> hosting server
-	sameServer  []bool      // recipient instance co-located with the sender
-	sameRack    []bool      // recipient instance within the sender's rack
-	sameCluster []bool      // recipient instance within the sender's cluster
+	targets []*executor // recipient instance -> executor
+	server  []int       // recipient instance -> hosting server
+	tier    []uint8     // recipient instance -> locality tier relative to the sender (metrics.Tier*)
 
 	// traffic is written only by the owning executor; mu is therefore
 	// uncontended on the hot path and exists so Traffic()/FieldsTraffic()
@@ -961,24 +959,19 @@ func (l *Live) resolveEdges(e *executor) []*resolvedEdge {
 	for i, edge := range edges {
 		targets := l.execs[edge.To]
 		re := &resolvedEdge{
-			key:         EdgeKey(edge.From, edge.To),
-			to:          edge.To,
-			grouping:    edge.Grouping,
-			keyField:    edge.KeyField,
-			policy:      l.cfg.Policies[EdgeKey(edge.From, edge.To)],
-			targets:     targets,
-			server:      make([]int, len(targets)),
-			sameServer:  make([]bool, len(targets)),
-			sameRack:    make([]bool, len(targets)),
-			sameCluster: make([]bool, len(targets)),
+			key:      EdgeKey(edge.From, edge.To),
+			to:       edge.To,
+			grouping: edge.Grouping,
+			keyField: edge.KeyField,
+			policy:   l.cfg.Policies[EdgeKey(edge.From, edge.To)],
+			targets:  targets,
+			server:   make([]int, len(targets)),
+			tier:     make([]uint8, len(targets)),
 		}
 		for j := range targets {
 			s := l.place.ServerOf(edge.To, j)
 			re.server[j] = s
-			tier := l.place.Tier(e.server, s)
-			re.sameServer[j] = tier == cluster.TierServer
-			re.sameRack[j] = tier <= cluster.TierRack
-			re.sameCluster[j] = tier <= cluster.TierCluster
+			re.tier[j] = uint8(l.place.Tier(e.server, s))
 		}
 		out[i] = re
 	}
@@ -1216,12 +1209,13 @@ func (e *executor) forward(re *resolvedEdge, keyOp, key string, out topology.Tup
 	}
 	e.seq++
 	target := re.policy.Route(routeKey, e.server, e.seq)
+	tier := int(re.tier[target])
 	re.mu.Lock()
-	re.traffic.RecordTiers(re.sameServer[target], re.sameRack[target], re.sameCluster[target], out.Size())
+	re.traffic.Record(tier, out.Size())
 	re.mu.Unlock()
 	e.eng.inflight.incInternal()
 	msg := message{kind: msgData, tuple: out, keyOp: nextKeyOp, key: nextKey}
-	if !re.sameServer[target] && e.eng.fabric != nil &&
+	if tier != metrics.TierServer && e.eng.fabric != nil &&
 		e.eng.sendWire(re.to, target, e.server, re.server[target], msg) {
 		e.sentWire(re.server[target])
 		return

@@ -116,7 +116,13 @@ func TestTCPLiveIdleFlushNeedsNoTimer(t *testing.T) {
 		t.Fatalf("TuplesLost = %d, want 0", lost)
 	}
 	assertNoWireDrops(t, live)
+	// A flusher meters a frame after its writev returns, so the receiver
+	// can settle the last tuples — and Drain return — a moment before the
+	// sender has counted them.
 	ws := live.WireStats()
+	for deadline := time.Now().Add(5 * time.Second); ws.TuplesSent < n && time.Now().Before(deadline); ws = live.WireStats() {
+		time.Sleep(time.Millisecond)
+	}
 	if ws.TuplesSent != n || ws.FlushIdle == 0 || ws.FlushTimer != 0 || ws.FlushSize != 0 {
 		t.Fatalf("wire sent %d tuples in idle/timer/size frames %d/%d/%d, want %d in idle frames only",
 			ws.TuplesSent, ws.FlushIdle, ws.FlushTimer, ws.FlushSize, n)

@@ -181,23 +181,20 @@ func (s *Sim) forward(e topology.Edge, fromOp string, fromInst, fromServer int, 
 	target := policy.Route(routeKey, fromServer, s.seq)
 	targetServer := s.place.ServerOf(e.To, target)
 	tier := s.place.Tier(fromServer, targetServer)
-	local := tier == cluster.TierServer
-	sameRack := tier <= cluster.TierRack
-	sameCluster := tier <= cluster.TierCluster
 
 	size := out.Size()
-	s.traffic[EdgeKey(e.From, e.To)].RecordTiers(local, sameRack, sameCluster, size)
+	s.traffic[EdgeKey(e.From, e.To)].Record(tier, size)
 	fromPOI := simnet.POI{Op: fromOp, Instance: fromInst}
 	toPOI := simnet.POI{Op: e.To, Instance: target}
-	if local {
+	if tier == metrics.TierServer {
 		s.usage.AddCPU(fromPOI, s.cfg.Model.LocalHandoffNs)
 	} else {
 		fsize := float64(size)
 		nicNs := s.nicNs
-		switch {
-		case !sameCluster:
+		switch tier {
+		case metrics.TierRegion:
 			nicNs = s.cfg.Model.InterClusterNsPerByte()
-		case !sameRack:
+		case metrics.TierCluster:
 			nicNs = s.cfg.Model.InterRackNsPerByte()
 		}
 		s.usage.AddCPU(fromPOI, s.cfg.Model.RemoteFixedNs+fsize*s.cfg.Model.SerializeNsPerByte)

@@ -29,12 +29,12 @@ func AblationRackAware(scale Scale) (Figure, error) {
 		YLabel: "value",
 	}
 
-	run := func(rackAware bool) (tp, loc, rackLoc float64, err error) {
+	run := func(flat bool) (tp, loc, rackLoc float64, err error) {
 		topo, place, err := evalApp(parallelism)
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		if err := place.AssignRacks(rackOf); err != nil {
+		if err := place.AssignTiers(rackOf, nil); err != nil {
 			return 0, 0, 0, err
 		}
 		model := simnet.Default10G()
@@ -56,7 +56,7 @@ func AblationRackAware(scale Scale) (Figure, error) {
 			return 0, 0, 0, err
 		}
 		opt, err := core.NewOptimizer(topo, place, core.OptimizerOptions{
-			Seed: 31, MaxEdges: 1 << 20, RackAware: rackAware,
+			Seed: 31, MaxEdges: 1 << 20, Flat: flat,
 		})
 		if err != nil {
 			return 0, 0, 0, err
@@ -89,14 +89,10 @@ func AblationRackAware(scale Scale) (Figure, error) {
 
 	flat := metrics.Series{Label: "flat"}
 	aware := metrics.Series{Label: "rack-aware"}
-	for i, rackAware := range []bool{false, true} {
-		tp, loc, rackLoc, err := run(rackAware)
+	for _, s := range []*metrics.Series{&flat, &aware} {
+		tp, loc, rackLoc, err := run(s == &flat)
 		if err != nil {
 			return Figure{}, err
-		}
-		s := &flat
-		if i == 1 {
-			s = &aware
 		}
 		s.Append(1, tp)
 		s.Append(2, loc)

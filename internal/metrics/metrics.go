@@ -10,6 +10,22 @@ import (
 	"time"
 )
 
+// Locality tiers, cheapest first: the class of a transfer between two
+// servers (cluster.Placement.Tier), the index of Traffic.Record and of
+// the wire meter's per-tier counters.
+const (
+	// TierServer: both instances on the same server (in-process hand-off).
+	TierServer = iota
+	// TierRack: different servers sharing a rack (one ToR switch hop).
+	TierRack
+	// TierCluster: different racks inside one cluster (aggregation layer).
+	TierCluster
+	// TierRegion: different clusters (the metered cross-region link).
+	TierRegion
+	// NumTiers is the number of locality tiers.
+	NumTiers
+)
+
 // Traffic accumulates local/remote tuple counts and byte volumes for one
 // stream edge. The zero value is ready to use. Not safe for concurrent
 // use: each live-engine executor records into its own per-edge copy
@@ -34,41 +50,26 @@ type Traffic struct {
 	ClusterBytes  uint64
 }
 
-// Record adds one tuple transfer.
-func (t *Traffic) Record(local bool, size int) {
-	t.RecordTiers(local, local, local, size)
-}
-
-// RecordLevel adds one transfer with rack detail: sameServer transfers
-// are local; sameRack transfers are remote but stay inside the rack.
-// Deployments without a cluster tier never cross one, so everything
-// remote counts as same-cluster.
-func (t *Traffic) RecordLevel(sameServer, sameRack bool, size int) {
-	t.RecordTiers(sameServer, sameRack, true, size)
-}
-
-// RecordTiers adds one transfer with full hierarchy detail: sameServer
-// transfers are local; sameRack transfers are remote inside the rack;
-// sameCluster transfers are remote across racks but inside the cluster;
-// the rest crossed the inter-cluster link.
-func (t *Traffic) RecordTiers(sameServer, sameRack, sameCluster bool, size int) {
-	switch {
-	case sameServer:
+// Record adds one transfer of size bytes classified by locality tier:
+// TierServer transfers are local, everything else is remote, and the
+// rack and cluster counters single out the remote transfers that stayed
+// inside the sender's rack or cluster. Tiers outside the enum count as
+// TierRegion, the conservative class.
+func (t *Traffic) Record(tier, size int) {
+	if tier == TierServer {
 		t.LocalTuples++
 		t.LocalBytes += uint64(size)
-	case sameRack:
-		t.RemoteTuples++
-		t.RemoteBytes += uint64(size)
+		return
+	}
+	t.RemoteTuples++
+	t.RemoteBytes += uint64(size)
+	switch tier {
+	case TierRack:
 		t.RackTuples++
 		t.RackBytes += uint64(size)
-	case sameCluster:
-		t.RemoteTuples++
-		t.RemoteBytes += uint64(size)
+	case TierCluster:
 		t.ClusterTuples++
 		t.ClusterBytes += uint64(size)
-	default:
-		t.RemoteTuples++
-		t.RemoteBytes += uint64(size)
 	}
 }
 

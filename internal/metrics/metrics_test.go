@@ -13,9 +13,9 @@ func TestTrafficRecordAndLocality(t *testing.T) {
 	if tr.Locality() != 0 {
 		t.Fatal("empty traffic locality should be 0")
 	}
-	tr.Record(true, 100)
-	tr.Record(true, 50)
-	tr.Record(false, 200)
+	tr.Record(TierServer, 100)
+	tr.Record(TierServer, 50)
+	tr.Record(TierRegion, 200)
 	if tr.LocalTuples != 2 || tr.RemoteTuples != 1 {
 		t.Fatalf("tuples = %d/%d", tr.LocalTuples, tr.RemoteTuples)
 	}
@@ -30,6 +30,74 @@ func TestTrafficRecordAndLocality(t *testing.T) {
 	}
 	if !strings.Contains(tr.String(), "locality=0.667") {
 		t.Fatalf("String() = %q", tr.String())
+	}
+}
+
+// TestRecordLevelRackAccounting walks one transfer through every tier:
+// each lands in exactly one per-tier counter, and the cumulative
+// localities nest.
+func TestRecordLevelRackAccounting(t *testing.T) {
+	var tr Traffic
+	tr.Record(TierServer, 10)
+	tr.Record(TierRack, 20)
+	tr.Record(TierCluster, 30)
+	tr.Record(TierRegion, 40)
+	tr.Record(NumTiers+3, 50) // unknown tier: counted as cross-region
+
+	want := Traffic{
+		LocalTuples: 1, LocalBytes: 10,
+		RemoteTuples: 4, RemoteBytes: 140,
+		RackTuples: 1, RackBytes: 20,
+		ClusterTuples: 1, ClusterBytes: 30,
+	}
+	if tr != want {
+		t.Fatalf("traffic = %+v, want %+v", tr, want)
+	}
+	if tr.InterClusterTuples() != 2 || tr.InterClusterBytes() != 90 {
+		t.Fatalf("inter-cluster = %d tuples / %d bytes, want 2 / 90",
+			tr.InterClusterTuples(), tr.InterClusterBytes())
+	}
+	for name, c := range map[string]struct{ got, want float64 }{
+		"Locality":        {tr.Locality(), 1.0 / 5},
+		"RackLocality":    {tr.RackLocality(), 2.0 / 5},
+		"ClusterLocality": {tr.ClusterLocality(), 3.0 / 5},
+	} {
+		if math.Abs(c.got-c.want) > 1e-9 {
+			t.Errorf("%s() = %f, want %f", name, c.got, c.want)
+		}
+	}
+}
+
+// Whatever the tier sequence, the per-tier counters partition the total
+// and the derived inter-cluster volume never underflows.
+func TestPropertyRecordPartitionsTotal(t *testing.T) {
+	f := func(tiers []uint8) bool {
+		var tr Traffic
+		for i, tier := range tiers {
+			tr.Record(int(tier%(NumTiers+1)), i)
+		}
+		perTier := tr.LocalTuples + tr.RackTuples + tr.ClusterTuples + tr.InterClusterTuples()
+		return perTier == tr.Total() && tr.Total() == uint64(len(tiers)) &&
+			tr.InterClusterTuples() <= tr.RemoteTuples && tr.InterClusterBytes() <= tr.RemoteBytes
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRackLocalityEmpty(t *testing.T) {
+	var tr Traffic
+	if tr.RackLocality() != 0 || tr.ClusterLocality() != 0 {
+		t.Fatal("empty traffic rack and cluster locality should be 0")
+	}
+}
+
+func TestAddIncludesRackFields(t *testing.T) {
+	a := Traffic{RackTuples: 1, RackBytes: 10, ClusterTuples: 4, ClusterBytes: 40}
+	a.Add(Traffic{RackTuples: 2, RackBytes: 20, ClusterTuples: 5, ClusterBytes: 50})
+	want := Traffic{RackTuples: 3, RackBytes: 30, ClusterTuples: 9, ClusterBytes: 90}
+	if a != want {
+		t.Fatalf("Add = %+v, want %+v", a, want)
 	}
 }
 

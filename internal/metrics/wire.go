@@ -23,15 +23,6 @@ const (
 	FlushIdle
 )
 
-// NumWireTiers is the number of locality tiers the wire meter accounts
-// separately (mirrors cluster.NumTiers): same server, same rack, same
-// cluster across racks, and the inter-cluster link.
-const NumWireTiers = 4
-
-// InterClusterTier indexes the cross-cluster entry of the per-tier wire
-// counters — the tier the federation layer's 100× cost gate prices.
-const InterClusterTier = NumWireTiers - 1
-
 // FlushSizeBuckets is the number of log2 buckets in the flush-size
 // histogram: bucket 0 counts data frames of up to 64 wire bytes and
 // each subsequent bucket doubles the bound, so the last bucket opens at
@@ -63,8 +54,8 @@ type WireStats struct {
 	// rack, same cluster, inter-cluster — when the transport was built
 	// with a PeerTier classifier; all-zero otherwise. Their sums equal
 	// TuplesSent/BytesSent then.
-	TierTuplesSent [NumWireTiers]uint64 `json:"tier_tuples_sent"`
-	TierBytesSent  [NumWireTiers]uint64 `json:"tier_bytes_sent"`
+	TierTuplesSent [NumTiers]uint64 `json:"tier_tuples_sent"`
+	TierBytesSent  [NumTiers]uint64 `json:"tier_bytes_sent"`
 
 	// WritevCalls counts vectored writes handed to the kernel and
 	// WritevFrames the frames they carried; WritevFrames >= WritevCalls,
@@ -160,7 +151,7 @@ func (s WireStats) InterClusterBytesPerTuple() float64 {
 	if s.TuplesSent == 0 {
 		return 0
 	}
-	return float64(s.TierBytesSent[InterClusterTier]) / float64(s.TuplesSent)
+	return float64(s.TierBytesSent[TierRegion]) / float64(s.TuplesSent)
 }
 
 // SyscallsPerFlush is the mean number of vectored writes per sent data
@@ -212,8 +203,8 @@ type WireMeter struct {
 	flushClose   atomic.Uint64
 	flushIdle    atomic.Uint64
 
-	tierTuplesSent [NumWireTiers]atomic.Uint64
-	tierBytesSent  [NumWireTiers]atomic.Uint64
+	tierTuplesSent [NumTiers]atomic.Uint64
+	tierBytesSent  [NumTiers]atomic.Uint64
 
 	writevCalls   atomic.Uint64
 	writevFrames  atomic.Uint64
@@ -277,8 +268,8 @@ func (m *WireMeter) RecordLZAttempt() {
 // count as inter-cluster, the conservative class). Called alongside
 // RecordDataFrameSent when the transport knows the peer's tier.
 func (m *WireMeter) RecordTierSent(tier, tuples, wireBytes int) {
-	if tier < 0 || tier >= NumWireTiers {
-		tier = InterClusterTier
+	if tier < 0 || tier >= NumTiers {
+		tier = TierRegion
 	}
 	m.tierTuplesSent[tier].Add(uint64(tuples))
 	m.tierBytesSent[tier].Add(uint64(wireBytes))
@@ -366,8 +357,8 @@ func (m *WireMeter) Snapshot() WireStats {
 	for i := range hist {
 		hist[i] = m.flushSizeHist[i].Load()
 	}
-	var tierTuples, tierBytes [NumWireTiers]uint64
-	for i := 0; i < NumWireTiers; i++ {
+	var tierTuples, tierBytes [NumTiers]uint64
+	for i := 0; i < NumTiers; i++ {
 		tierTuples[i] = m.tierTuplesSent[i].Load()
 		tierBytes[i] = m.tierBytesSent[i].Load()
 	}

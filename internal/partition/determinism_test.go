@@ -104,22 +104,22 @@ func TestPartitionExplicitRand(t *testing.T) {
 	_ = g
 }
 
-// TestHierarchicalDeterministicSeed covers the rack-aware path, which
-// derives per-rack sub-seeds (or consumes the explicit Rand stream
+// TestHierarchicalDeterministicSeed covers the nested path, which
+// derives per-group sub-seeds (or consumes the explicit Rand stream
 // sequentially).
 func TestHierarchicalDeterministicSeed(t *testing.T) {
-	rackOf := []int{0, 0, 1, 1}
-	a, err := Hierarchical(buildSkewedGraph(400), rackOf, Options{K: 4, Seed: 3})
+	levels := [][]int{{0, 0, 1, 1}}
+	a, err := Nested(buildSkewedGraph(400), levels, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Hierarchical(buildSkewedGraph(400), rackOf, Options{K: 4, Seed: 3})
+	b, err := Nested(buildSkewedGraph(400), levels, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := range a.Parts {
 		if a.Parts[v] != b.Parts[v] {
-			t.Fatalf("hierarchical plan differs at vertex %d: %d vs %d", v, a.Parts[v], b.Parts[v])
+			t.Fatalf("nested plan differs at vertex %d: %d vs %d", v, a.Parts[v], b.Parts[v])
 		}
 	}
 }

@@ -67,7 +67,7 @@ type Options struct {
 	// Rand, when non-nil, supplies the tie-breaking randomness instead of
 	// a Seed-derived source. Threading an explicit *rand.Rand makes a
 	// sequence of related plans (e.g. the churn and skew drills, or the
-	// per-rack sub-partitions of Hierarchical) reproducible end to end:
+	// per-group sub-partitions of Nested) reproducible end to end:
 	// the caller owns the stream of random values, so identical inputs
 	// yield identical plans across runs and test processes. The generator
 	// is consumed sequentially and must not be shared with concurrent

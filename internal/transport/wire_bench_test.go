@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"encoding/gob"
 	"math/rand"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -100,8 +98,7 @@ func benchWireForward(b *testing.B, comp Compression, payload int) {
 // BenchmarkWireForward is the gated end-to-end number (BENCH_8.json):
 // the default encoding, dictionary interning plus the opportunistic LZ
 // pass. Compare with BenchmarkWireForwardRaw for the CPU cost of
-// compression and with BenchmarkGobForward — the per-message gob path
-// this protocol replaced — for the batching/binary speedup.
+// compression.
 func BenchmarkWireForward(b *testing.B) { benchWireForward(b, CompressionAuto, 0) }
 
 // BenchmarkWireForwardPayload is the regime BenchmarkWireForward, which
@@ -203,7 +200,7 @@ func BenchmarkWireForwardTiered(b *testing.B) {
 		case from == to:
 			return 0
 		case clusterOf[from] != clusterOf[to]:
-			return metrics.InterClusterTier
+			return metrics.TierRegion
 		case rackOf[from] != rackOf[to]:
 			return 2
 		default:
@@ -255,73 +252,9 @@ func BenchmarkWireForwardTiered(b *testing.B) {
 	if st := meter.Snapshot(); st.TuplesSent > 0 {
 		b.ReportMetric(st.InterClusterBytesPerTuple(), "xcluster-B/tuple")
 		b.ReportMetric(
-			float64(st.TierTuplesSent[metrics.InterClusterTier])/float64(st.TuplesSent),
+			float64(st.TierTuplesSent[metrics.TierRegion])/float64(st.TuplesSent),
 			"xcluster-share")
 	}
-}
-
-// BenchmarkGobForward is the retained baseline: the pre-batching wire
-// path, one gob-encoded Message per Send over the same TCP loopback.
-// It exists so the BenchmarkWireForward speedup stays measurable
-// forever, not just in this PR's description.
-func BenchmarkGobForward(b *testing.B) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ln.Close()
-
-	var (
-		received atomic.Int64
-		target   atomic.Int64
-	)
-	done := make(chan struct{}, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		dec := gob.NewDecoder(conn)
-		for {
-			var msg Message
-			if err := dec.Decode(&msg); err != nil {
-				return
-			}
-			if t := target.Load(); t > 0 && received.Add(1) >= t {
-				select {
-				case done <- struct{}{}:
-				default:
-				}
-			}
-		}
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-
-	msg := benchMessage()
-	target.Store(4096)
-	for i := 0; i < 4096; i++ {
-		if err := enc.Encode(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	awaitBench(b, done)
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	target.Store(received.Load() + int64(b.N))
-	for i := 0; i < b.N; i++ {
-		if err := enc.Encode(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	awaitBench(b, done)
 }
 
 // BenchmarkWireWritev measures the flusher's vectored-write batching at

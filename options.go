@@ -3,7 +3,6 @@ package locastream
 import (
 	"time"
 
-	"github.com/locastream/locastream/internal/cluster"
 	"github.com/locastream/locastream/internal/core"
 	"github.com/locastream/locastream/internal/simnet"
 	"github.com/locastream/locastream/internal/topology"
@@ -14,7 +13,6 @@ type options struct {
 	servers        int
 	racks          []int
 	clusters       []int
-	tierCosts      *cluster.TierCosts
 	placement      map[string][]int
 	sourceGrouping topology.Grouping
 	sourceKeyField int
@@ -61,55 +59,37 @@ func WithServers(n int) Option {
 	return optionFunc(func(o *options) { o.servers = n })
 }
 
-// WithRacks assigns servers to racks (one entry per server). Rack
-// information enables the hierarchical-locality extension: rack-aware
-// partitioning (WithRackAwareOptimizer) and per-rack traffic accounting
-// (Traffic.RackLocality).
+// WithRacks assigns servers to racks (one entry per server; ids need
+// not be dense). Rack information enables the hierarchical-locality
+// extension: the optimizer splits keys across racks before servers,
+// minimizing traffic over the expensive inter-rack links, and traffic
+// is accounted per rack (Traffic.RackLocality).
 func WithRacks(rackOf []int) Option {
 	return optionFunc(func(o *options) { o.racks = append([]int(nil), rackOf...) })
 }
 
-// WithRackAwareOptimizer partitions keys hierarchically — first across
-// racks, then across each rack's servers — minimizing traffic over the
-// expensive inter-rack links. Requires WithRacks.
-func WithRackAwareOptimizer() Option {
-	return optionFunc(func(o *options) { o.optimizer.RackAware = true })
-}
-
-// WithClusters assigns servers to clusters (one entry per server),
-// adding the third locality tier: server → rack → cluster. Racks
-// (WithRacks) must nest inside clusters. A multi-cluster placement
-// switches the optimizer to the two-level cluster partition (keys are
-// split across clusters by the key graph first, then across each
-// cluster's servers), turns on per-tier traffic and wire accounting
-// (Traffic.ClusterLocality, WireStats.TierBytesSent), and makes an
-// autopilot run hierarchically: per-cluster control loops own the local
-// moves while a federation layer gates cross-cluster migrations at the
-// inter-cluster cost multiple, journaling approvals as Federated
-// decisions.
+// WithClusters assigns servers to clusters (one entry per server; ids
+// need not be dense), adding the third locality tier: server → rack →
+// cluster. Racks (WithRacks) must nest inside clusters. On a
+// multi-cluster placement the optimizer splits keys across clusters by
+// the key graph first, then across each cluster's racks and servers;
+// per-tier traffic and wire accounting turn on
+// (Traffic.ClusterLocality, WireStats.TierBytesSent); and an autopilot
+// runs hierarchically: per-cluster control loops own the local moves
+// while a federation layer gates cross-cluster migrations at the
+// inter-cluster cost multiple (100× a rack hop), journaling approvals as
+// Federated decisions.
 func WithClusters(clusterOf []int) Option {
 	return optionFunc(func(o *options) { o.clusters = append([]int(nil), clusterOf...) })
 }
 
-// WithClusterBlindOptimizer keeps the flat partitioner on a
-// multi-cluster placement (WithClusters) — the baseline for measuring
-// what the two-level cluster partition buys. Per-tier traffic
-// accounting and simulation costs still apply; only the partitioner
-// (and, on an App, the autopilot's federation layer) ignores the
-// cluster boundary.
-func WithClusterBlindOptimizer() Option {
-	return optionFunc(func(o *options) { o.optimizer.ClusterBlind = true })
-}
-
-// WithTierCosts overrides the relative transfer costs of the four
-// locality tiers (same server, same rack, same cluster, cross-cluster);
-// the defaults are 0, 1, 4, 100. Costs must be non-negative and
-// non-decreasing. The cross-cluster over same-rack ratio is the
-// federation layer's migration cost multiple (100× by default).
-func WithTierCosts(server, rack, clusterTier, region float64) Option {
-	return optionFunc(func(o *options) {
-		o.tierCosts = &cluster.TierCosts{server, rack, clusterTier, region}
-	})
+// WithFlatOptimizer keeps the flat partitioner on a placement that
+// declares racks or clusters — the baseline for measuring what the
+// nested partition buys. Per-tier traffic accounting and simulation
+// costs still apply; only the partitioner (and, on an App, the
+// autopilot's federation layer) ignores the tiers.
+func WithFlatOptimizer() Option {
+	return optionFunc(func(o *options) { o.optimizer.Flat = true })
 }
 
 // WithPlacement overrides the round-robin placement with an explicit

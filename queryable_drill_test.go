@@ -13,12 +13,13 @@ import (
 	"github.com/locastream/locastream/internal/statestore"
 )
 
-// teeStore checkpoints into both the legacy JSONL FileStore and the
-// tiered statestore, so the drill can prove the two stores reconstruct
-// byte-identical images from the same append history.
+// teeStore checkpoints into both the in-memory reference store — which
+// folds the complete append history with Image.Merge — and the tiered
+// statestore, so the drill can prove the two reconstruct byte-identical
+// images from the same history.
 type teeStore struct {
-	legacy locastream.CheckpointStore
-	tiered *statestore.Store
+	reference locastream.CheckpointStore
+	tiered    *statestore.Store
 }
 
 func (t *teeStore) Append(recs []engine.KeyState) error {
@@ -27,7 +28,7 @@ func (t *teeStore) Append(recs []engine.KeyState) error {
 }
 
 func (t *teeStore) AppendVersion(recs []engine.KeyState) (uint64, error) {
-	if err := t.legacy.Append(recs); err != nil {
+	if err := t.reference.Append(recs); err != nil {
 		return 0, err
 	}
 	return t.tiered.AppendVersion(recs)
@@ -37,24 +38,21 @@ func (t *teeStore) Load() ([]engine.KeyState, error) { return t.tiered.Load() }
 func (t *teeStore) MaybeCompact() bool               { return t.tiered.MaybeCompact() }
 
 // TestQueryableStateDrill is the issue's kill→compact→restart drill:
-// the same checkpoint stream lands in the legacy JSONL store and the
-// tiered store; a server is killed and recovered from the tiered store;
-// compaction folds the history; a reopened store must serve an image
-// byte-identical to what the legacy store replays from its full JSONL
-// history — while replaying only O(live keys) records.
+// the same checkpoint stream lands in the in-memory reference store and
+// the tiered store; a server is killed and recovered from the tiered
+// store; compaction folds the history; a reopened store must serve an
+// image byte-identical to the reference's fold of the full history —
+// while replaying only O(live keys) records.
 func TestQueryableStateDrill(t *testing.T) {
 	dir := t.TempDir()
-	legacy, err := locastream.NewFileCheckpointStore(filepath.Join(dir, "legacy.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reference := locastream.NewMemoryCheckpointStore()
 	tiered, err := statestore.Open(filepath.Join(dir, "tiered"), statestore.Options{
 		MaxSegmentBytes: 2048, // force rotation so compaction has sealed input
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tee := &teeStore{legacy: legacy, tiered: tiered}
+	tee := &teeStore{reference: reference, tiered: tiered}
 
 	app, err := locastream.NewApp(geoTopology(t, 3), locastream.WithServers(3))
 	if err != nil {
@@ -116,9 +114,9 @@ func TestQueryableStateDrill(t *testing.T) {
 		t.Fatalf("status state version = %d, store says %d", st.StateVersion, tiered.Version())
 	}
 
-	// Byte-identical images before compaction: full JSONL replay versus
-	// the tiered store's index.
-	wantImage, err := legacy.Load()
+	// Byte-identical images before compaction: the full-history fold
+	// versus the tiered store's index.
+	wantImage, err := reference.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +125,12 @@ func TestQueryableStateDrill(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wantImage, gotImage) {
-		t.Fatalf("images diverge before compaction:\nlegacy %+v\ntiered %+v", wantImage, gotImage)
+		t.Fatalf("images diverge before compaction:\nreference %+v\ntiered %+v", wantImage, gotImage)
 	}
 
 	// Compact (seal first so everything durable folds), close, reopen:
-	// the restored image must still match the legacy store's replay of
-	// the complete history, from a replay bounded by live keys.
+	// the restored image must still match the reference's fold of the
+	// complete history, from a replay bounded by live keys.
 	if err := tiered.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +154,7 @@ func TestQueryableStateDrill(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wantImage, restored) {
-		t.Fatalf("restored image diverges from legacy replay:\nlegacy %+v\ntiered %+v", wantImage, restored)
+		t.Fatalf("restored image diverges from the reference:\nreference %+v\ntiered %+v", wantImage, restored)
 	}
 	liveRecords := uint64(len(wantImage))
 	replayed := reopened.Stats().ReplayedRecords

@@ -12,7 +12,6 @@ func TestAppWithRacksAndRackAwareOptimizer(t *testing.T) {
 	app, err := locastream.NewApp(topo,
 		locastream.WithServers(4),
 		locastream.WithRacks([]int{0, 0, 1, 1}),
-		locastream.WithRackAwareOptimizer(),
 		locastream.WithOptimizer(1.03, 0, 17),
 	)
 	if err != nil {
@@ -54,12 +53,76 @@ func TestAppWithRacksAndRackAwareOptimizer(t *testing.T) {
 }
 
 func TestAppWithRacksValidation(t *testing.T) {
-	topo := geoTopology(t, 2)
-	if _, err := locastream.NewApp(topo,
-		locastream.WithServers(2),
-		locastream.WithRacks([]int{0}), // wrong length
-	); err == nil {
-		t.Fatal("bad rack assignment accepted")
+	for name, tiers := range map[string][]locastream.Option{
+		"wrong rack length":    {locastream.WithRacks([]int{0})},
+		"wrong cluster length": {locastream.WithClusters([]int{0, 0, 1})},
+		"negative rack":        {locastream.WithRacks([]int{0, -1})},
+		"negative cluster":     {locastream.WithClusters([]int{-1, 0})},
+		"rack straddling clusters": {
+			locastream.WithRacks([]int{0, 0}), locastream.WithClusters([]int{0, 1}),
+		},
+	} {
+		opts := append([]locastream.Option{locastream.WithServers(2)}, tiers...)
+		if app, err := locastream.NewApp(geoTopology(t, 2), opts...); err == nil {
+			app.Stop()
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestAppWithRacksSparseIDs: rack and cluster ids are labels, not
+// indices. A deployment numbered with gaps must reconfigure — an id
+// nobody uses is not an empty rack — and account every transfer exactly
+// as the densely numbered deployment does.
+func TestAppWithRacksSparseIDs(t *testing.T) {
+	run := func(t *testing.T, tiers ...locastream.Option) locastream.Traffic {
+		opts := append([]locastream.Option{
+			locastream.WithServers(4), locastream.WithOptimizer(1.03, 0, 17),
+		}, tiers...)
+		app, err := locastream.NewApp(geoTopology(t, 4), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer app.Stop()
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 2000; i++ {
+				k := strconv.Itoa(i % 16)
+				if err := app.Inject(locastream.Tuple{Values: []string{"r" + k, "#" + strconv.Itoa(i%24)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			app.Drain()
+			if round == 0 {
+				if _, err := app.Reconfigure(); err != nil {
+					t.Fatalf("Reconfigure: %v", err)
+				}
+			}
+		}
+		return app.FieldsTraffic()
+	}
+	for name, c := range map[string]struct{ sparse, dense []locastream.Option }{
+		"racks": {
+			[]locastream.Option{locastream.WithRacks([]int{0, 0, 2, 2})},
+			[]locastream.Option{locastream.WithRacks([]int{0, 0, 1, 1})},
+		},
+		"clusters": {
+			[]locastream.Option{locastream.WithClusters([]int{0, 0, 3, 3})},
+			[]locastream.Option{locastream.WithClusters([]int{0, 0, 1, 1})},
+		},
+		"racks in clusters": {
+			[]locastream.Option{locastream.WithRacks([]int{1, 4, 9, 9}), locastream.WithClusters([]int{2, 2, 7, 7})},
+			[]locastream.Option{locastream.WithRacks([]int{0, 1, 2, 2}), locastream.WithClusters([]int{0, 0, 1, 1})},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sparse, dense := run(t, c.sparse...), run(t, c.dense...)
+			if sparse != dense {
+				t.Fatalf("sparse ids: traffic %+v, want %+v as with dense ids", sparse, dense)
+			}
+			if sparse.RemoteTuples == 0 || sparse.InterClusterTuples() > sparse.RemoteTuples {
+				t.Fatalf("degenerate run: %+v", sparse)
+			}
+		})
 	}
 }
 

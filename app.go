@@ -38,9 +38,8 @@ type App struct {
 	splitThreshold float64
 
 	// autoMin/autoMax bound the elastic membership (0/0 without
-	// WithAutoscale); planSeed fixes the rescale planner's tie-breaking.
+	// WithAutoscale).
 	autoMin, autoMax int
-	planSeed         int64
 
 	stateStore *statestore.Store // non-nil with WithStateStore; closed on Stop
 
@@ -150,7 +149,6 @@ func NewApp(topo *Topology, opts ...Option) (*App, error) {
 		topo: topo, place: place, live: live, mgr: mgr,
 		keySplitting: o.keySplitting, splitThreshold: o.splitThreshold,
 		autoMin: o.autoscaleMin, autoMax: o.autoscaleMax,
-		planSeed:   o.optimizer.Seed,
 		stateStore: stateStore,
 	}
 	if o.reconfigEvery > 0 {

@@ -5,9 +5,9 @@ import (
 	"sort"
 
 	"github.com/locastream/locastream/internal/cluster"
+	"github.com/locastream/locastream/internal/core"
 	"github.com/locastream/locastream/internal/engine"
 	"github.com/locastream/locastream/internal/routing"
-	"github.com/locastream/locastream/internal/scale"
 )
 
 // RepairInput is everything the planner needs to compute a
@@ -46,19 +46,9 @@ type RepairInput struct {
 	// (engine.Live.StatefulOps) — the only ones that need buffer arming
 	// and state restoration.
 	StatefulOps []string
-	// Alpha is the balance bound of the repair partitioning. Zero
-	// selects 1.5 — deliberately looser than the optimizer's 1.03:
-	// during repair, keeping correlated key pairs together (locality)
-	// and moving nothing but the dead server's keys outranks strict
-	// balance, and the next planned reconfiguration restores the tight
-	// bound anyway. Seed fixes tie-breaking.
-	Alpha float64
-	Seed  int64
+	// Seed fixes the repair partitioning's tie-breaking.
+	Seed int64
 }
-
-// DefaultRepairAlpha is the default balance bound of the repair
-// partitioning (see RepairInput.Alpha).
-const DefaultRepairAlpha = scale.DefaultAlpha
 
 // RepairPlan is the computed recovery: new routing tables covering every
 // reassigned key, the buffers to arm, and the state records to restore.
@@ -88,7 +78,7 @@ type RepairPlan struct {
 
 // PlanRepair computes where the dead servers' keys go. It is the
 // degenerate case of elastic rescaling — remove servers, add none — and
-// delegates the movement planning to scale.PlanRescale: survivor keys
+// delegates the movement planning to core.PlanRescale: survivor keys
 // are pinned to their current servers and the retained key graph is
 // re-partitioned under that constraint, so orphaned keys land next to
 // the keys they exchange tuples with — locality is preserved — while
@@ -126,11 +116,7 @@ func PlanRepair(in RepairInput) (*RepairPlan, error) {
 		}
 		ckpt[k] = append(ckpt[k], r)
 	}
-	alpha := in.Alpha
-	if alpha <= 0 {
-		alpha = DefaultRepairAlpha
-	}
-	sp, err := scale.PlanRescale(scale.PlanInput{
+	sp, err := core.PlanRescale(core.PlanInput{
 		Place:       in.Place,
 		To:          in.Alive,
 		Tables:      in.Tables,
@@ -139,7 +125,6 @@ func PlanRepair(in RepairInput) (*RepairPlan, error) {
 		ExtraKeys:   extra,
 		OwnerOf:     in.OwnerOf,
 		StatefulOps: in.StatefulOps,
-		Alpha:       alpha,
 		Seed:        in.Seed,
 	})
 	if err != nil {

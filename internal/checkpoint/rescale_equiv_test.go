@@ -3,9 +3,9 @@ package checkpoint
 import (
 	"testing"
 
+	"github.com/locastream/locastream/internal/core"
 	"github.com/locastream/locastream/internal/engine"
 	"github.com/locastream/locastream/internal/routing"
-	"github.com/locastream/locastream/internal/scale"
 	"github.com/locastream/locastream/internal/spacesaving"
 )
 
@@ -62,7 +62,7 @@ func TestPlanRepairEquivalentToPlanRescale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rescale, err := scale.PlanRescale(scale.PlanInput{
+	rescale, err := core.PlanRescale(core.PlanInput{
 		Place:       place,
 		To:          alive, // From nil = all servers: remove 3, add none
 		Tables:      tables,

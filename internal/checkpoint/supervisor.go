@@ -85,10 +85,8 @@ type Options struct {
 	// Meter, when set, receives the fault measurements (a private meter
 	// is used otherwise; see Status).
 	Meter *metrics.FaultMeter
-	// Alpha and Seed tune the repair partitioning (zero Alpha selects
-	// DefaultRepairAlpha; see RepairInput.Alpha).
-	Alpha float64
-	Seed  int64
+	// Seed fixes the repair partitioning's tie-breaking.
+	Seed int64
 	// Now injects the clock used by the background loop (default
 	// time.Now). Tick ignores it — the caller's now is authoritative.
 	Now func() time.Time
@@ -339,7 +337,6 @@ func (s *Supervisor) recoverLocked(f Failure, now time.Time) error {
 		Splits:      s.eng.SplitSnapshot(),
 		OwnerOf:     s.eng.OwnerOf,
 		StatefulOps: s.eng.StatefulOps(),
-		Alpha:       s.opts.Alpha,
 		Seed:        s.opts.Seed,
 	})
 	if err != nil {

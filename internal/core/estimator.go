@@ -48,49 +48,9 @@ func (im Impact) Worthwhile(costPerKey float64) bool {
 // optimizes, but evaluated with hash fallback and on whichever tables are
 // provided.
 func (o *Optimizer) EstimateImpact(stats []engine.PairStat, current, candidate map[string]*routing.Table) Impact {
-	var (
-		total      uint64
-		curLocal   float64
-		candLocal  float64
-		movedKeys  = make(map[[2]string]bool)
-		seenTables = func(tables map[string]*routing.Table, op string) *routing.Table {
-			if tables == nil {
-				return nil
-			}
-			return tables[op]
-		}
-	)
-	for _, st := range stats {
-		fromN := o.place.Parallelism(st.FromOp)
-		toN := o.place.Parallelism(st.ToOp)
-		if fromN == 0 || toN == 0 {
-			continue
-		}
-		for _, p := range st.Pairs {
-			total += p.Count
-
-			curFrom := o.serverOfOwner(st.FromOp, Owner(seenTables(current, st.FromOp), st.FromOp, p.In, fromN))
-			curTo := o.serverOfOwner(st.ToOp, Owner(seenTables(current, st.ToOp), st.ToOp, p.Out, toN))
-			if curFrom == curTo {
-				curLocal += float64(p.Count)
-			}
-
-			candFrom := o.serverOfOwner(st.FromOp, Owner(seenTables(candidate, st.FromOp), st.FromOp, p.In, fromN))
-			candTo := o.serverOfOwner(st.ToOp, Owner(seenTables(candidate, st.ToOp), st.ToOp, p.Out, toN))
-			if candFrom == candTo {
-				candLocal += float64(p.Count)
-			}
-
-			// Track owner changes for both endpoint keys.
-			if ownerChanged(seenTables(current, st.FromOp), seenTables(candidate, st.FromOp), st.FromOp, p.In, fromN) {
-				movedKeys[[2]string{st.FromOp, p.In}] = true
-			}
-			if ownerChanged(seenTables(current, st.ToOp), seenTables(candidate, st.ToOp), st.ToOp, p.Out, toN) {
-				movedKeys[[2]string{st.ToOp, p.Out}] = true
-			}
-		}
-	}
-	im := Impact{TrafficPerPeriod: total, KeysToMigrate: len(movedKeys)}
+	total, curLocal, candLocal, moved := o.scoreTables(stats, current, candidate,
+		func(from, to int) bool { return from == to })
+	im := Impact{TrafficPerPeriod: total, KeysToMigrate: moved}
 	if total > 0 {
 		im.CurrentLocality = curLocal / float64(total)
 		im.CandidateLocality = candLocal / float64(total)
@@ -104,39 +64,51 @@ func (o *Optimizer) EstimateImpact(stats []engine.PairStat, current, candidate m
 // federation layer's cost gate prices. Both are evaluated with hash
 // fallback, exactly like EstimateImpact scores same-server weight.
 func (o *Optimizer) EstimateInterCluster(stats []engine.PairStat, a, b map[string]*routing.Table) (aCross, bCross float64) {
-	tbl := func(tables map[string]*routing.Table, op string) *routing.Table {
-		if tables == nil {
-			return nil
-		}
-		return tables[op]
-	}
+	total, aWithin, bWithin, _ := o.scoreTables(stats, a, b,
+		func(from, to int) bool { return o.place.ClusterOf(from) == o.place.ClusterOf(to) })
+	return float64(total) - aWithin, float64(total) - bWithin
+}
+
+// scoreTables is the one walk over the pair statistics that scores two
+// configurations side by side: total is the observed pair weight, aKept
+// and bKept the weight of the pairs whose two endpoint servers satisfy
+// together under each configuration (sums of integer counts, exact in a
+// float64), and moved the number of distinct endpoint keys whose owner
+// differs between a and b. Operators unknown to the placement are skipped.
+func (o *Optimizer) scoreTables(stats []engine.PairStat, a, b map[string]*routing.Table,
+	together func(fromServer, toServer int) bool) (total uint64, aKept, bKept float64, moved int) {
+	movedKeys := make(map[[2]string]bool)
 	for _, st := range stats {
-		fromN := o.place.Parallelism(st.FromOp)
-		toN := o.place.Parallelism(st.ToOp)
-		if fromN == 0 || toN == 0 {
+		if o.place.Parallelism(st.FromOp) == 0 || o.place.Parallelism(st.ToOp) == 0 {
 			continue
 		}
 		for _, p := range st.Pairs {
-			aFrom := o.serverOfOwner(st.FromOp, Owner(tbl(a, st.FromOp), st.FromOp, p.In, fromN))
-			aTo := o.serverOfOwner(st.ToOp, Owner(tbl(a, st.ToOp), st.ToOp, p.Out, toN))
-			if o.place.ClusterOf(aFrom) != o.place.ClusterOf(aTo) {
-				aCross += float64(p.Count)
+			total += p.Count
+			aFrom, aFromS := o.endpoint(a, st.FromOp, p.In)
+			aTo, aToS := o.endpoint(a, st.ToOp, p.Out)
+			bFrom, bFromS := o.endpoint(b, st.FromOp, p.In)
+			bTo, bToS := o.endpoint(b, st.ToOp, p.Out)
+			if together(aFromS, aToS) {
+				aKept += float64(p.Count)
 			}
-			bFrom := o.serverOfOwner(st.FromOp, Owner(tbl(b, st.FromOp), st.FromOp, p.In, fromN))
-			bTo := o.serverOfOwner(st.ToOp, Owner(tbl(b, st.ToOp), st.ToOp, p.Out, toN))
-			if o.place.ClusterOf(bFrom) != o.place.ClusterOf(bTo) {
-				bCross += float64(p.Count)
+			if together(bFromS, bToS) {
+				bKept += float64(p.Count)
+			}
+			if aFrom != bFrom {
+				movedKeys[[2]string{st.FromOp, p.In}] = true
+			}
+			if aTo != bTo {
+				movedKeys[[2]string{st.ToOp, p.Out}] = true
 			}
 		}
 	}
-	return aCross, bCross
+	return total, aKept, bKept, len(movedKeys)
 }
 
-func ownerChanged(cur, cand *routing.Table, op, key string, n int) bool {
-	return Owner(cur, op, key, n) != Owner(cand, op, key, n)
-}
-
-// serverOfOwner maps an owning instance to its server.
-func (o *Optimizer) serverOfOwner(op string, inst int) int {
-	return o.place.ServerOf(op, inst)
+// endpoint resolves one side of an observed pair under a configuration:
+// the instance owning key of op (nil tables, or no table for op: pure
+// hashing) and the server hosting it.
+func (o *Optimizer) endpoint(tables map[string]*routing.Table, op, key string) (inst, server int) {
+	inst = Owner(tables[op], op, key, o.place.Parallelism(op))
+	return inst, o.place.ServerOf(op, inst)
 }

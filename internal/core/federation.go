@@ -97,81 +97,39 @@ type keyMove struct {
 // workload the level-1 split can come back with whole clusters swapped,
 // which reads as "move every key across the inter-cluster link" — a
 // giant zero-saving cross move set that buries the real drift moves the
-// federation gate should be judging. Only clusters with equal server
-// counts may trade labels (the bijection must preserve capacity); the
-// remap sends each candidate server to its positional counterpart in
-// the relabeled cluster, so intra-cluster structure is untouched. A
-// no-op unless the partitioner split keys across clusters.
+// federation gate should be judging. The relabeling is matchParts over
+// the keys each candidate cluster shares with each deployed one (hash
+// fallback included); the remap sends each candidate server to its
+// positional counterpart in the relabeled cluster, so only clusters that
+// map rack onto rack that way may trade labels (sameRackLayout) and the
+// intra-cluster structure is untouched. A no-op unless the partitioner
+// split keys across clusters.
 func (m *Manager) alignClusters(current, cand map[string]*routing.Table) {
 	clusters := m.place.Clusters()
 	if clusters < 2 || m.opt.Levels() == nil {
 		return
 	}
-
-	// agree[cc][uc]: keys the candidate puts in cluster cc that the
-	// current deployment (hash fallback included) keeps in cluster uc.
-	agree := make([][]int, clusters)
+	agree := make([][]uint64, clusters)
 	for c := range agree {
-		agree[c] = make([]int, clusters)
+		agree[c] = make([]uint64, clusters)
 	}
 	for op, t := range cand {
-		if t == nil {
-			continue
-		}
-		n := m.place.Parallelism(op)
-		if n == 0 {
+		if t == nil || m.place.Parallelism(op) == 0 {
 			continue
 		}
 		for key, inst := range t.Assign {
 			cc := m.place.ClusterOf(m.place.ServerOf(op, inst))
-			uc := m.place.ClusterOf(m.place.ServerOf(op, Owner(current[op], op, key, n)))
-			if cc >= 0 && uc >= 0 {
+			_, curServer := m.opt.endpoint(current, op, key)
+			if uc := m.place.ClusterOf(curServer); cc >= 0 && uc >= 0 {
 				agree[cc][uc]++
 			}
 		}
 	}
-
-	// Greedy agreement-maximizing bijection within each size class.
-	// Within a class every pairing is legal, so the loop always completes
-	// a full permutation; ties break toward the lowest cluster ids.
-	perm := make([]int, clusters)
-	taken := make([]bool, clusters)  // physical label already granted
-	mapped := make([]bool, clusters) // candidate label already relabeled
-	for c := range perm {
-		perm[c] = c
+	servers := make([][]int, clusters)
+	for c := range servers {
+		servers[c] = m.place.ServersInCluster(c)
 	}
-	for round := 0; round < clusters; round++ {
-		best, bc, bu := -1, -1, -1
-		for cc := 0; cc < clusters; cc++ {
-			if mapped[cc] {
-				continue
-			}
-			for uc := 0; uc < clusters; uc++ {
-				if taken[uc] ||
-					len(m.place.ServersInCluster(cc)) != len(m.place.ServersInCluster(uc)) {
-					continue
-				}
-				if agree[cc][uc] > best {
-					best, bc, bu = agree[cc][uc], cc, uc
-				}
-			}
-		}
-		if bc < 0 {
-			break
-		}
-		perm[bc] = bu
-		mapped[bc], taken[bu] = true, true
-	}
-	identity := true
-	for c, p := range perm {
-		if p != c {
-			identity = false
-			break
-		}
-	}
-	if identity {
-		return
-	}
+	perm := matchParts(agree, func(cc, uc int) bool { return m.sameRackLayout(servers[cc], servers[uc]) })
 
 	for op, t := range cand {
 		if t == nil {
@@ -183,23 +141,34 @@ func (m *Manager) alignClusters(current, cand map[string]*routing.Table) {
 			if c < 0 || perm[c] == c {
 				continue
 			}
-			from := m.place.ServersInCluster(c)
-			to := m.place.ServersInCluster(perm[c])
-			idx := -1
-			for i, sv := range from {
+			for i, sv := range servers[c] {
 				if sv == s {
-					idx = i
+					if ni, ok := instanceOn(m.place, op, key, servers[perm[c]][i], nil); ok {
+						t.Assign[key] = ni
+					}
 					break
 				}
 			}
-			if idx < 0 || idx >= len(to) {
-				continue
-			}
-			if ni, ok := m.opt.instanceOn(op, to[idx], key); ok {
-				t.Assign[key] = ni
+		}
+	}
+}
+
+// sameRackLayout reports whether the positional server map a[i] -> b[i]
+// between two clusters keeps co-racked servers co-racked and separated
+// ones separated, i.e. the clusters' rack sizes match position for
+// position.
+func (m *Manager) sameRackLayout(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		for j := 0; j < i; j++ {
+			if (m.place.RackOf(a[i]) == m.place.RackOf(a[j])) != (m.place.RackOf(b[i]) == m.place.RackOf(b[j])) {
+				return false
 			}
 		}
 	}
+	return true
 }
 
 // FederatedCandidate computes a global tiered candidate and splits it
@@ -227,20 +196,15 @@ func (m *Manager) FederatedCandidate(costPerKey float64) (*FederatedCandidate, e
 	// cluster a local move belongs to is the (shared) cluster of both
 	// owners; a move whose owners sit in different clusters crosses the
 	// link.
-	for _, op := range affectedOps(current, cand.Tables) {
+	for _, op := range unionKeys(current, cand.Tables) {
 		n := m.place.Parallelism(op)
 		if n == 0 {
 			continue
 		}
-		for _, key := range tableKeys(current[op], cand.Tables[op]) {
-			curInst := Owner(current[op], op, key, n)
-			candInst := Owner(cand.Tables[op], op, key, n)
-			if curInst == candInst {
-				continue
-			}
-			mv := keyMove{op: op, key: key, curInst: curInst, candInst: candInst}
-			curCluster := m.place.ClusterOf(m.place.ServerOf(op, curInst))
-			candCluster := m.place.ClusterOf(m.place.ServerOf(op, candInst))
+		for _, d := range DiffTables(current[op], cand.Tables[op], op, n) {
+			mv := keyMove{op: op, key: d.Key, curInst: d.From, candInst: d.To}
+			curCluster := m.place.ClusterOf(m.place.ServerOf(op, d.From))
+			candCluster := m.place.ClusterOf(m.place.ServerOf(op, d.To))
 			if curCluster == candCluster {
 				fc.localMoves[curCluster] = append(fc.localMoves[curCluster], mv)
 			} else {
@@ -320,9 +284,7 @@ func (m *Manager) crossSavings(stats []engine.PairStat, cand map[string]*routing
 		return 0
 	}
 	for _, st := range stats {
-		fromN := m.place.Parallelism(st.FromOp)
-		toN := m.place.Parallelism(st.ToOp)
-		if fromN == 0 || toN == 0 {
+		if m.place.Parallelism(st.FromOp) == 0 || m.place.Parallelism(st.ToOp) == 0 {
 			continue
 		}
 		for _, p := range st.Pairs {
@@ -333,8 +295,8 @@ func (m *Manager) crossSavings(stats []engine.PairStat, cand map[string]*routing
 			if !fromMoved && !toMoved {
 				continue
 			}
-			candFrom := m.place.ServerOf(st.FromOp, Owner(cand[st.FromOp], st.FromOp, p.In, fromN))
-			candTo := m.place.ServerOf(st.ToOp, Owner(cand[st.ToOp], st.ToOp, p.Out, toN))
+			_, candFrom := m.opt.endpoint(cand, st.FromOp, p.In)
+			_, candTo := m.opt.endpoint(cand, st.ToOp, p.Out)
 			candCross := cross(candFrom, candTo)
 			if fromMoved {
 				rev := cross(m.place.ServerOf(st.FromOp, mvFrom.curInst), candTo)
@@ -397,24 +359,4 @@ func setOwner(tables map[string]*routing.Table, op, key string, inst int, versio
 		tables[op] = t
 	}
 	t.Assign[key] = inst
-}
-
-// tableKeys returns the sorted union of explicitly assigned keys of two
-// tables for one operator.
-func tableKeys(a, b *routing.Table) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, t := range []*routing.Table{a, b} {
-		if t == nil {
-			continue
-		}
-		for k := range t.Assign {
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, k)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }

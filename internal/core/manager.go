@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"github.com/locastream/locastream/internal/cluster"
@@ -300,33 +299,61 @@ func (m *Manager) Recover() (version uint64, ok bool, err error) {
 	return version, true, nil
 }
 
-// deploy persists and rolls out a computed configuration. The candidate
-// is saved to stable storage before the rollout starts (§3.4), but it
-// becomes the recovery target only after the engine accepted it: marking
-// it deployed first would let a restart resurrect a configuration that
-// never went live.
+// deploy rolls out an optimizer configuration: the state moves are the
+// table diff against the deployed configuration, stateful operators only.
 func (m *Manager) deploy(tables map[string]*routing.Table, plan *Plan) error {
-	if err := m.store.Save(plan.Version, tables); err != nil {
-		return fmt.Errorf("core: persist configuration: %w", err)
-	}
 	moves := make(map[string][]engine.KeyMove)
-	for _, op := range affectedOps(m.tables, tables) {
+	for _, op := range unionKeys(m.tables, tables) {
 		if opr := m.topo.Operator(op); opr == nil || !opr.Stateful {
 			continue
 		}
-		n := m.place.Parallelism(op)
-		for _, mv := range DiffTables(m.tables[op], tables[op], op, n) {
-			moves[op] = append(moves[op], engine.KeyMove{Key: mv.Key, From: mv.From, To: mv.To})
+		if mv := DiffTables(m.tables[op], tables[op], op, m.place.Parallelism(op)); len(mv) > 0 {
+			moves[op] = mv
 		}
 	}
-	if err := m.eng.Reconfigure(engine.ReconfigPlan{Tables: tables, Moves: moves}); err != nil {
-		return err
+	return m.rollout(plan.Version, tables, &engine.ReconfigPlan{Tables: tables, Moves: moves})
+}
+
+// rollout is the one way a configuration becomes the deployed one. It is
+// saved to stable storage before anything is installed (§3.4), but it
+// becomes the recovery target only after the engine accepted it: marking
+// it deployed first would let a restart resurrect a configuration that
+// never went live. With a ReconfigPlan the engine installs the tables
+// through the §3.4 protocol, migrating the plan's moves; with nil the
+// caller installs them itself (failure repair: a dead server cannot
+// acknowledge a propagation wave) and the manager only keeps the books.
+func (m *Manager) rollout(version uint64, tables map[string]*routing.Table, via *engine.ReconfigPlan) error {
+	if err := m.store.Save(version, tables); err != nil {
+		return fmt.Errorf("core: persist configuration v%d: %w", version, err)
+	}
+	if via != nil {
+		if err := m.eng.Reconfigure(*via); err != nil {
+			return err
+		}
 	}
 	m.tables = tables
-	if err := m.store.MarkDeployed(plan.Version); err != nil {
-		return fmt.Errorf("core: mark configuration deployed: %w", err)
+	if err := m.store.MarkDeployed(version); err != nil {
+		return fmt.Errorf("core: mark configuration v%d deployed: %w", version, err)
 	}
 	return nil
+}
+
+// rolloutPlanned rolls out tables computed outside the optimizer — a
+// rescale or a repair — under a fresh version, so they supersede the
+// last optimized configuration and are superseded by the next one. moves
+// are the planner's own (a minimal-movement plan already knows them, so
+// there is no DiffTables pass); reconfigure selects the engine rollout.
+func (m *Manager) rolloutPlanned(tables map[string]*routing.Table, moves map[string][]engine.KeyMove, reconfigure bool) (uint64, error) {
+	version := m.opt.NextVersion()
+	adopted := cloneTables(tables)
+	for _, t := range adopted {
+		t.Version = version
+	}
+	var via *engine.ReconfigPlan
+	if reconfigure {
+		via = &engine.ReconfigPlan{Tables: adopted, Moves: moves}
+	}
+	return version, m.rollout(version, adopted, via)
 }
 
 // Tables returns a copy of the currently deployed routing tables.
@@ -341,74 +368,55 @@ func (m *Manager) SetActiveServers(active []int) { m.opt.SetActiveServers(active
 // Optimizer.Levels); nil means it partitions flat.
 func (m *Manager) Levels() [][]int { return m.opt.Levels() }
 
-// DeployRescale persists and rolls out a rescale plan: precomputed
-// tables plus the exact key moves the planner chose — unlike deploy,
-// no DiffTables pass, because a minimal-movement plan already knows its
-// moves and a diff against tables carrying voluntary assignments would
-// recompute the same set anyway. The migration runs through the same
-// §3.4 protocol as an optimizer deployment: every leaving server is
-// still attached and participates. Returns the version the plan was
-// deployed as.
-func (m *Manager) DeployRescale(tables map[string]*routing.Table, moves map[string][]engine.KeyMove) (uint64, error) {
-	version := m.opt.NextVersion()
-	adopted := cloneTables(tables)
-	for _, t := range adopted {
-		t.Version = version
+// Rescale plans and deploys one membership change: from and to are the
+// usable-server vectors before and after it (PlanInput.From/To), and
+// maxMoves caps the voluntary moves toward joining servers (<= 0:
+// unbounded). Future candidates partition over the new membership; the
+// minimal-movement plan is computed from the engine's retained
+// statistics, keyed state and split set against the deployed tables, and
+// rolled out through the same §3.4 protocol as an optimizer deployment —
+// every leaving server is still attached and participates. Returns the
+// plan and the version it was deployed as.
+func (m *Manager) Rescale(from, to []bool, maxMoves int) (*RescalePlan, uint64, error) {
+	var usable []int
+	for s, ok := range to {
+		if ok {
+			usable = append(usable, s)
+		}
 	}
-	if err := m.store.Save(version, adopted); err != nil {
-		return 0, fmt.Errorf("core: persist rescale configuration: %w", err)
+	if len(usable) == len(to) {
+		usable = nil // full capacity
 	}
-	if err := m.eng.Reconfigure(engine.ReconfigPlan{Tables: adopted, Moves: moves}); err != nil {
-		return 0, err
+	m.opt.SetActiveServers(usable)
+	plan, err := PlanRescale(PlanInput{
+		Place:       m.place,
+		From:        from,
+		To:          to,
+		Tables:      m.tables,
+		Stats:       m.eng.PeekPairStats(),
+		Splits:      m.eng.SplitSnapshot(),
+		ExtraKeys:   m.eng.StatefulKeys(),
+		OwnerOf:     m.eng.OwnerOf,
+		StatefulOps: m.eng.StatefulOps(),
+		Seed:        m.opt.opts.Seed,
+		MaxMoves:    maxMoves,
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	m.tables = adopted
-	if err := m.store.MarkDeployed(version); err != nil {
-		return 0, fmt.Errorf("core: mark rescale configuration deployed: %w", err)
+	version, err := m.rolloutPlanned(plan.Tables, plan.Moves, true)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: deploy rescale: %w", err)
 	}
-	return version, nil
+	return plan, version, nil
 }
 
 // ApplyRepair adopts failure-recovery routing tables as the deployed
-// configuration, outside the planned reconfiguration protocol (a dead
-// server cannot acknowledge a propagation wave). The tables are stamped
-// with a fresh version, persisted, and become the manager's deployed
-// view — so the next optimization diffs against the post-recovery
-// assignment instead of computing bogus migrations from dead instances.
-// The caller installs the same tables into the engine
-// (engine.UpdateTables) — the manager only owns the bookkeeping here.
+// configuration, outside the planned reconfiguration protocol. They
+// become the manager's deployed view — so the next optimization diffs
+// against the post-recovery assignment instead of computing bogus
+// migrations from dead instances. The caller installs the same tables
+// into the engine (engine.UpdateTables).
 func (m *Manager) ApplyRepair(tables map[string]*routing.Table) (uint64, error) {
-	version := m.opt.NextVersion()
-	adopted := cloneTables(tables)
-	for _, t := range adopted {
-		t.Version = version
-	}
-	if err := m.store.Save(version, adopted); err != nil {
-		return 0, fmt.Errorf("core: persist repair configuration: %w", err)
-	}
-	m.tables = adopted
-	if err := m.store.MarkDeployed(version); err != nil {
-		return 0, fmt.Errorf("core: mark repair configuration deployed: %w", err)
-	}
-	return version, nil
-}
-
-// affectedOps returns the union of operators named in either
-// configuration, sorted.
-func affectedOps(oldT, newT map[string]*routing.Table) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for op := range oldT {
-		if !seen[op] {
-			seen[op] = true
-			out = append(out, op)
-		}
-	}
-	for op := range newT {
-		if !seen[op] {
-			seen[op] = true
-			out = append(out, op)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return m.rolloutPlanned(tables, nil, false)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"github.com/locastream/locastream/internal/engine"
 	"github.com/locastream/locastream/internal/routing"
 )
 
@@ -11,65 +12,54 @@ import (
 // nil (pure hashing). op is the recipient operator name, used to salt the
 // fallback hash exactly like the routing policies do.
 func Owner(table *routing.Table, op, key string, instances int) int {
-	if table != nil {
-		if idx, ok := table.Assign[key]; ok && idx >= 0 && idx < instances {
-			return idx
-		}
+	if idx, ok := tableOwner(table, key, instances); ok {
+		return idx
 	}
 	return routing.SaltedHashKey(op, key, instances)
 }
 
-// KeyMove records one key changing owner between two configurations.
-type KeyMove struct {
-	Key  string
-	From int
-	To   int
+// tableOwner is the explicit half of Owner: the instance table assigns
+// key to, when it names a valid one.
+func tableOwner(table *routing.Table, key string, instances int) (int, bool) {
+	if table == nil {
+		return 0, false
+	}
+	idx, ok := table.Assign[key]
+	return idx, ok && idx >= 0 && idx < instances
 }
 
 // DiffTables computes the keys whose owner changes when newT replaces
 // oldT for operator op with the given instance count. Only keys named in
 // either table can change owners (all other keys hash identically under
 // both configurations). Moves are sorted by key for determinism.
-func DiffTables(oldT, newT *routing.Table, op string, instances int) []KeyMove {
-	keys := make(map[string]struct{})
+func DiffTables(oldT, newT *routing.Table, op string, instances int) []engine.KeyMove {
+	var oldKeys, newKeys map[string]int
 	if oldT != nil {
-		for k := range oldT.Assign {
-			keys[k] = struct{}{}
-		}
+		oldKeys = oldT.Assign
 	}
 	if newT != nil {
-		for k := range newT.Assign {
-			keys[k] = struct{}{}
+		newKeys = newT.Assign
+	}
+	var moves []engine.KeyMove
+	for _, k := range unionKeys(oldKeys, newKeys) {
+		if from, to := Owner(oldT, op, k, instances), Owner(newT, op, k, instances); from != to {
+			moves = append(moves, engine.KeyMove{Key: k, From: from, To: to})
 		}
 	}
-	var moves []KeyMove
-	for k := range keys {
-		from := Owner(oldT, op, k, instances)
-		to := Owner(newT, op, k, instances)
-		if from != to {
-			moves = append(moves, KeyMove{Key: k, From: from, To: to})
-		}
-	}
-	sort.Slice(moves, func(i, j int) bool { return moves[i].Key < moves[j].Key })
 	return moves
 }
 
-// MovesByInstance groups moves into per-instance send lists (keys the
-// instance must transfer out, with recipients) and receive lists (keys
-// whose state the instance must await, with senders).
-func MovesByInstance(moves []KeyMove, instances int) (send, recv []map[string]int) {
-	send = make([]map[string]int, instances)
-	recv = make([]map[string]int, instances)
-	for i := 0; i < instances; i++ {
-		send[i] = make(map[string]int)
-		recv[i] = make(map[string]int)
+// unionKeys returns the sorted union of the keys of two maps.
+func unionKeys[V any](a, b map[string]V) []string {
+	out := make([]string, 0, len(a)+len(b))
+	for k := range a {
+		out = append(out, k)
 	}
-	for _, m := range moves {
-		if m.From < 0 || m.From >= instances || m.To < 0 || m.To >= instances {
-			continue
+	for k := range b {
+		if _, dup := a[k]; !dup {
+			out = append(out, k)
 		}
-		send[m.From][m.Key] = m.To
-		recv[m.To][m.Key] = m.From
 	}
-	return send, recv
+	sort.Strings(out)
+	return out
 }

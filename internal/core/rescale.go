@@ -1,9 +1,4 @@
-// Package scale is the planning half of elastic scaling: a
-// minimal-movement repartition planner (PlanRescale) that generalizes the
-// failure-repair pin-survivors-move-few logic to arbitrary membership
-// changes. The decision half — when to add or remove servers — is
-// control.Scaler.
-package scale
+package core
 
 import (
 	"fmt"
@@ -16,12 +11,10 @@ import (
 	"github.com/locastream/locastream/internal/routing"
 )
 
-// DefaultAlpha is the default balance bound of the rescale partitioning
-// — deliberately looser than the optimizer's 1.03: during a membership
-// change, keeping correlated key pairs together and moving few keys
-// outranks strict balance, and the next planned reconfiguration restores
-// the tight bound anyway.
-const DefaultAlpha = 1.5
+// This file is the planning half of elastic scaling: a minimal-movement
+// repartition planner (PlanRescale) that generalizes the failure-repair
+// pin-survivors-move-few logic to arbitrary membership changes. The
+// decision half — when to add or remove servers — is control.Scaler.
 
 // PlanInput is everything PlanRescale needs to compute a
 // minimal-movement, locality-preserving repartition against a new
@@ -57,10 +50,8 @@ type PlanInput struct {
 	// StatefulOps are the operators holding keyed state — the only ones
 	// whose moves carry a state migration.
 	StatefulOps []string
-	// Alpha is the balance bound of the partitioning (0 selects
-	// DefaultAlpha); Seed fixes tie-breaking.
-	Alpha float64
-	Seed  int64
+	// Seed fixes the partitioner's tie-breaking.
+	Seed int64
 	// MaxMoves caps the voluntary moves toward joining servers (the
 	// disruption bound). Forced moves — keys whose server leaves — are
 	// never capped: they must go somewhere. <= 0 means unbounded.
@@ -80,8 +71,8 @@ type SplitReown struct {
 	Gone  []int
 }
 
-// Plan is the computed repartition.
-type Plan struct {
+// RescalePlan is the computed repartition.
+type RescalePlan struct {
 	// Leaving and Joining are the servers removed from / added to the
 	// usable set, ascending.
 	Leaving []int
@@ -91,8 +82,8 @@ type Plan struct {
 	Tables map[string]*routing.Table
 	// Moves carries the live state migrations (stateful operators
 	// only): for each moved key the owning instance before and after.
-	// Feed them to engine.Reconfigure via Manager.DeployRescale. The
-	// repair path ignores Moves — dead instances cannot snapshot — and
+	// Manager.Rescale feeds them to engine.Reconfigure. The repair path
+	// ignores Moves — dead instances cannot snapshot — and
 	// restores from the checkpoint instead.
 	Moves map[string][]engine.KeyMove
 	// Assigned maps op -> key -> adopting instance for every ordinary
@@ -119,16 +110,16 @@ type Plan struct {
 // overlap with a from-scratch partition) shift load onto them without
 // exceeding MaxMoves. Remove-one-server with no joiners degenerates to
 // exactly the failure-repair plan.
-func PlanRescale(in PlanInput) (*Plan, error) {
+func PlanRescale(in PlanInput) (*RescalePlan, error) {
 	if in.Place == nil {
-		return nil, fmt.Errorf("scale: rescale needs a placement")
+		return nil, fmt.Errorf("core: rescale needs a placement")
 	}
 	n := in.Place.Servers()
 	if len(in.To) != n {
-		return nil, fmt.Errorf("scale: %d membership entries for %d servers", len(in.To), n)
+		return nil, fmt.Errorf("core: %d membership entries for %d servers", len(in.To), n)
 	}
 	if in.From != nil && len(in.From) != n {
-		return nil, fmt.Errorf("scale: %d from-membership entries for %d servers", len(in.From), n)
+		return nil, fmt.Errorf("core: %d from-membership entries for %d servers", len(in.From), n)
 	}
 	var toList []int
 	for s, ok := range in.To {
@@ -137,15 +128,15 @@ func PlanRescale(in PlanInput) (*Plan, error) {
 		}
 	}
 	if len(toList) == 0 {
-		return nil, fmt.Errorf("scale: no servers in target set")
+		return nil, fmt.Errorf("core: no servers in target set")
 	}
 	partOf := make(map[int]int, len(toList)) // server -> part index
 	for i, s := range toList {
 		partOf[s] = i
 	}
 	inFrom := func(s int) bool { return in.From == nil || in.From[s] }
-	plan := &Plan{
-		Tables:   make(map[string]*routing.Table),
+	plan := &RescalePlan{
+		Tables:   cloneTables(in.Tables),
 		Moves:    make(map[string][]engine.KeyMove),
 		Assigned: make(map[string]map[string]int),
 	}
@@ -187,12 +178,16 @@ func PlanRescale(in PlanInput) (*Plan, error) {
 	// Split keys route by their replica set, not the table. One with a
 	// replica in To is re-owned in place: the first such replica in
 	// original order becomes the owner and the key is pinned there, out
-	// of the partitioning. Only a split key that lost every replica
-	// falls through to the ordinary move path below.
-	reownOf := make(map[keygraph.VertexID]*SplitReown)
+	// of the partitioning, its table pin following when the old owner
+	// left. No state moves — the surviving replica's live partial stays
+	// valid throughout; the repair path folds departed partials in via
+	// SplitReowns. Only a split key that lost every replica falls through
+	// to the ordinary move path below.
+	pinnedServer := make(map[keygraph.VertexID]int) // re-owned splits, then stayers
+	forcedMoves := 0
 	for _, si := range in.Splits {
 		note(si.Op, si.Key)
-		ro := &SplitReown{Op: si.Op, Key: si.Key, NewOwner: -1}
+		ro := SplitReown{Op: si.Op, Key: si.Key, NewOwner: -1}
 		for _, inst := range si.Replicas {
 			s := in.Place.ServerOf(si.Op, inst)
 			if s >= 0 && in.To[s] {
@@ -206,12 +201,23 @@ func PlanRescale(in PlanInput) (*Plan, error) {
 		if ro.NewOwner == -1 {
 			continue // every replica left: ordinary move
 		}
-		if len(si.Replicas) > 0 {
-			ownerS := in.Place.ServerOf(si.Op, si.Replicas[0])
-			ro.Moved = ownerS < 0 || !in.To[ownerS]
+		ownerS := in.Place.ServerOf(si.Op, si.Replicas[0])
+		ro.Moved = ownerS < 0 || !in.To[ownerS]
+		pinnedServer[keygraph.VertexID{Op: si.Op, Key: si.Key}] = in.Place.ServerOf(si.Op, ro.NewOwner)
+		plan.SplitReowns = append(plan.SplitReowns, ro)
+		if ro.Moved {
+			setOwner(plan.Tables, si.Op, si.Key, ro.NewOwner, 0)
+			plan.MovedKeys++
+			forcedMoves++
 		}
-		reownOf[keygraph.VertexID{Op: si.Op, Key: si.Key}] = ro
 	}
+	sort.Slice(plan.SplitReowns, func(i, j int) bool {
+		a, b := plan.SplitReowns[i], plan.SplitReowns[j]
+		if a.Op != b.Op {
+			return a.Op < b.Op
+		}
+		return a.Key < b.Key
+	})
 
 	graph := keygraph.New()
 	for _, st := range in.Stats {
@@ -223,10 +229,8 @@ func PlanRescale(in PlanInput) (*Plan, error) {
 
 	// Current owners, split into pinned stayers and forced moves.
 	ownerInst := func(op, key string) (int, bool) {
-		if t := in.Tables[op]; t != nil {
-			if inst, ok := t.Assign[key]; ok {
-				return inst, true
-			}
+		if inst, ok := tableOwner(in.Tables[op], key, in.Place.Parallelism(op)); ok {
+			return inst, true
 		}
 		if in.OwnerOf != nil {
 			if inst, ok := in.OwnerOf(op, key); ok {
@@ -240,24 +244,12 @@ func PlanRescale(in PlanInput) (*Plan, error) {
 		fromInst int // owning instance before the move (-1 unknown)
 	}
 	var forced []moveKey
-	pinnedServer := make(map[keygraph.VertexID]int) // stayers + reowned splits
 	currentServer := make(map[keygraph.VertexID]int)
 	currentInst := make(map[keygraph.VertexID]int)
-	ops := make([]string, 0, len(keysOf))
-	for op := range keysOf {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
-		keys := make([]string, 0, len(keysOf[op]))
-		for key := range keysOf[op] {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
+	for _, op := range unionKeys(keysOf, nil) {
+		for _, key := range unionKeys(keysOf[op], nil) {
 			id := keygraph.VertexID{Op: op, Key: key}
-			if ro, ok := reownOf[id]; ok {
-				pinnedServer[id] = in.Place.ServerOf(op, ro.NewOwner)
+			if _, reowned := pinnedServer[id]; reowned {
 				continue
 			}
 			inst, ok := ownerInst(op, key)
@@ -278,53 +270,8 @@ func PlanRescale(in PlanInput) (*Plan, error) {
 		}
 	}
 
-	for op, t := range in.Tables {
-		plan.Tables[op] = t.Clone()
-	}
-
-	// Re-pin the re-owned splits whose owner left (sorted for
-	// determinism). No state move — the surviving replica's live
-	// partial stays valid throughout; the repair path folds departed
-	// partials in via SplitReowns.
-	reownIDs := make([]keygraph.VertexID, 0, len(reownOf))
-	for id := range reownOf {
-		reownIDs = append(reownIDs, id)
-	}
-	sort.Slice(reownIDs, func(i, j int) bool {
-		if reownIDs[i].Op != reownIDs[j].Op {
-			return reownIDs[i].Op < reownIDs[j].Op
-		}
-		return reownIDs[i].Key < reownIDs[j].Key
-	})
-	forcedMoves := 0
-	for _, id := range reownIDs {
-		ro := reownOf[id]
-		plan.SplitReowns = append(plan.SplitReowns, *ro)
-		if !ro.Moved {
-			continue
-		}
-		table := plan.Tables[id.Op]
-		if table == nil {
-			table = &routing.Table{Assign: make(map[string]int)}
-			plan.Tables[id.Op] = table
-		}
-		table.Assign[id.Key] = ro.NewOwner
-		plan.MovedKeys++
-		forcedMoves++
-	}
-
-	alpha := in.Alpha
-	if alpha <= 0 {
-		alpha = DefaultAlpha
-	}
-
 	assign := func(op, key string, inst int, fromInst int) {
-		table := plan.Tables[op]
-		if table == nil {
-			table = &routing.Table{Assign: make(map[string]int)}
-			plan.Tables[op] = table
-		}
-		table.Assign[key] = inst
+		setOwner(plan.Tables, op, key, inst, 0)
 		plan.MovedKeys++
 		if plan.Assigned[op] == nil {
 			plan.Assigned[op] = make(map[string]int)
@@ -341,21 +288,7 @@ func PlanRescale(in PlanInput) (*Plan, error) {
 	// its heaviest staying neighbours under the balance constraint —
 	// and cannot move anything else. Forced keys absent from the graph
 	// spread deterministically by hash over the To servers.
-	var ids []keygraph.VertexID
-	var weights []uint64
-	var adj [][]partition.Adj
-	if graph.NumVertices() > 0 {
-		var adjRaw [][]keygraph.Adj
-		ids, weights, adjRaw = graph.CSR()
-		adj = make([][]partition.Adj, len(adjRaw))
-		for i, list := range adjRaw {
-			conv := make([]partition.Adj, len(list))
-			for j, a := range list {
-				conv[j] = partition.Adj{To: a.To, Weight: a.Weight}
-			}
-			adj[i] = conv
-		}
-	}
+	ids, pg := partitionGraph(graph)
 	if len(forced) > 0 {
 		forcedServer := make(map[keygraph.VertexID]int, len(forced))
 		if len(ids) > 0 {
@@ -367,12 +300,10 @@ func PlanRescale(in PlanInput) (*Plan, error) {
 					pinned[i] = -1
 				}
 			}
-			res, err := partition.Partition(
-				&partition.Graph{Weights: weights, Adj: adj},
-				partition.Options{K: len(toList), Alpha: alpha, Seed: in.Seed, Pinned: pinned},
-			)
+			res, err := partition.Partition(pg,
+				partition.Options{K: len(toList), Alpha: rescaleAlpha, Seed: in.Seed, Pinned: pinned})
 			if err != nil {
-				return nil, fmt.Errorf("scale: rescale partition: %w", err)
+				return nil, fmt.Errorf("core: rescale partition: %w", err)
 			}
 			for i, id := range ids {
 				if pinned[i] == -1 {
@@ -386,9 +317,9 @@ func PlanRescale(in PlanInput) (*Plan, error) {
 				// No statistics for this key: spread by hash over To.
 				server = toList[routing.HashKey(m.key, len(toList))]
 			}
-			inst, ok := AdoptInstance(in.Place, m.op, m.key, server, toList)
+			inst, ok := instanceOn(in.Place, m.op, m.key, server, toList)
 			if !ok {
-				return nil, fmt.Errorf("scale: no usable instance of %q", m.op)
+				return nil, fmt.Errorf("core: no usable instance of %q", m.op)
 			}
 			assign(m.op, m.key, inst, m.fromInst)
 			forcedMoves++
@@ -404,18 +335,21 @@ func PlanRescale(in PlanInput) (*Plan, error) {
 	// moved keys are the ones whose relocation buys the most balance.
 	voluntaryCap := 0
 	if len(plan.Joining) > 0 && len(ids) > 0 {
-		res, err := partition.Partition(
-			&partition.Graph{Weights: weights, Adj: adj},
-			partition.Options{K: len(toList), Alpha: alpha, Seed: in.Seed},
-		)
+		res, err := partition.Partition(pg,
+			partition.Options{K: len(toList), Alpha: rescaleAlpha, Seed: in.Seed})
 		if err != nil {
-			return nil, fmt.Errorf("scale: fresh partition: %w", err)
+			return nil, fmt.Errorf("core: fresh partition: %w", err)
 		}
-		target := matchPartsToServers(res.Parts, ids, weights, currentServer, partOf, len(toList))
-		joining := make(map[int]bool, len(plan.Joining))
-		for _, s := range plan.Joining {
-			joining[s] = true
+		overlap := make([][]uint64, len(toList))
+		for p := range overlap {
+			overlap[p] = make([]uint64, len(toList))
 		}
+		for i, id := range ids {
+			if s, ok := currentServer[id]; ok {
+				overlap[res.Parts[i]][partOf[s]] += pg.Weights[i]
+			}
+		}
+		target := matchParts(overlap, nil)
 		type candidate struct {
 			id     keygraph.VertexID
 			weight uint64
@@ -427,11 +361,11 @@ func PlanRescale(in PlanInput) (*Plan, error) {
 			if !ok {
 				continue // forced, split or unroutable: not a voluntary move
 			}
-			want := toList[target[res.Parts[i]]]
-			if !joining[want] || want == cur {
+			want := toList[target[res.Parts[i]]] // in To, so joining iff not in From
+			if inFrom(want) || want == cur {
 				continue
 			}
-			cands = append(cands, candidate{id: id, weight: weights[i], server: want})
+			cands = append(cands, candidate{id: id, weight: pg.Weights[i], server: want})
 		}
 		sort.Slice(cands, func(i, j int) bool {
 			if cands[i].weight != cands[j].weight {
@@ -451,7 +385,7 @@ func PlanRescale(in PlanInput) (*Plan, error) {
 			if taken >= voluntaryCap {
 				break
 			}
-			inst, ok := AdoptInstance(in.Place, c.id.Op, c.id.Key, c.server, toList)
+			inst, ok := instanceOn(in.Place, c.id.Op, c.id.Key, c.server, toList)
 			if !ok || inst == currentInst[c.id] {
 				continue
 			}
@@ -461,92 +395,4 @@ func PlanRescale(in PlanInput) (*Plan, error) {
 	}
 	plan.Bound = forcedMoves + voluntaryCap
 	return plan, nil
-}
-
-// matchPartsToServers greedily matches from-scratch partition parts to
-// To-set part indices by maximum overlap weight with the current
-// ownership, so an existing server keeps the part most like what it
-// already holds and the leftover parts land on the joining servers.
-// Returns part -> To-set index.
-func matchPartsToServers(parts []int, ids []keygraph.VertexID, weights []uint64,
-	currentServer map[keygraph.VertexID]int, partOf map[int]int, k int) []int {
-	overlap := make([][]uint64, k)
-	for p := range overlap {
-		overlap[p] = make([]uint64, k)
-	}
-	for i, id := range ids {
-		if s, ok := currentServer[id]; ok {
-			overlap[parts[i]][partOf[s]] += weights[i]
-		}
-	}
-	type pair struct {
-		p, idx int
-		w      uint64
-	}
-	var pairs []pair
-	for p := 0; p < k; p++ {
-		for idx := 0; idx < k; idx++ {
-			if overlap[p][idx] > 0 {
-				pairs = append(pairs, pair{p: p, idx: idx, w: overlap[p][idx]})
-			}
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].w != pairs[j].w {
-			return pairs[i].w > pairs[j].w
-		}
-		if pairs[i].p != pairs[j].p {
-			return pairs[i].p < pairs[j].p
-		}
-		return pairs[i].idx < pairs[j].idx
-	})
-	target := make([]int, k)
-	for p := range target {
-		target[p] = -1
-	}
-	usedIdx := make([]bool, k)
-	for _, pr := range pairs {
-		if target[pr.p] != -1 || usedIdx[pr.idx] {
-			continue
-		}
-		target[pr.p] = pr.idx
-		usedIdx[pr.idx] = true
-	}
-	next := 0
-	for p := 0; p < k; p++ {
-		if target[p] != -1 {
-			continue
-		}
-		for usedIdx[next] {
-			next++
-		}
-		target[p] = next
-		usedIdx[next] = true
-	}
-	return target
-}
-
-// AdoptInstance picks the instance of op on server that adopts key,
-// spreading co-located instances by hash (mirroring the optimizer's
-// instanceOn). When op has no instance on the chosen server the usable
-// servers are scanned in deterministic order for one that hosts the
-// operator.
-func AdoptInstance(place *cluster.Placement, op, key string, server int, usable []int) (int, bool) {
-	if insts := place.InstancesOn(op, server); len(insts) > 0 {
-		return insts[routing.HashKey(key, len(insts))], true
-	}
-	start := 0
-	for i, s := range usable {
-		if s == server {
-			start = i
-			break
-		}
-	}
-	for i := 1; i < len(usable); i++ {
-		s := usable[(start+i)%len(usable)]
-		if insts := place.InstancesOn(op, s); len(insts) > 0 {
-			return insts[routing.HashKey(key, len(insts))], true
-		}
-	}
-	return 0, false
 }

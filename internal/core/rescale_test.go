@@ -1,4 +1,4 @@
-package scale
+package core
 
 import (
 	"fmt"
@@ -386,14 +386,14 @@ func TestAdoptInstanceFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, ok := AdoptInstance(place, "A", "k", 3, []int{0, 1, 2, 3})
+	inst, ok := instanceOn(place, "A", "k", 3, []int{0, 1, 2, 3})
 	if !ok {
 		t.Fatal("no instance found")
 	}
 	if s := place.ServerOf("A", inst); s != 0 && s != 1 {
 		t.Fatalf("adopted on server %d, want a server hosting A", s)
 	}
-	if _, ok := AdoptInstance(place, "C", "k", 0, []int{0, 1}); ok {
+	if _, ok := instanceOn(place, "C", "k", 0, []int{0, 1}); ok {
 		t.Fatal("unknown operator adopted")
 	}
 }

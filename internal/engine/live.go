@@ -144,6 +144,13 @@ type Live struct {
 	mergesSent      atomic.Uint64
 	mergesApplied   atomic.Uint64
 
+	// windowLoad[s] is the number of tuples server s processed in the
+	// last completed statistics window and loadMark[s] its cumulative
+	// count when that window closed (both under splitMu; windowLoad is
+	// nil until the first CollectPairStats). PromoteSplit ranks replica
+	// candidates by it.
+	windowLoad, loadMark []uint64
+
 	fabric *transport.Fabric
 	// wire accumulates the transport's frame/batch counters when a TCP
 	// fabric is attached (nil otherwise).
@@ -690,7 +697,11 @@ func (l *Live) StatsSnapshot() Stats {
 // reports (and resets) its pair sketches; the results are merged per
 // operator pair. On a stopped engine the rejected requests are skipped,
 // so the call degrades to an empty report instead of blocking forever.
-func (l *Live) CollectPairStats() []PairStat { return l.pairStats(true) }
+func (l *Live) CollectPairStats() []PairStat {
+	stats := l.pairStats(true)
+	l.closeLoadWindow()
+	return stats
+}
 
 // PeekPairStats reports the merged pair sketches WITHOUT resetting the
 // per-instance measurement windows, so it can run on every checkpoint

@@ -471,3 +471,25 @@ func TestStatsSnapshotAndCollectOnStoppedEngine(t *testing.T) {
 		t.Fatalf("CollectPairStats on stopped engine = %v, want empty", stats)
 	}
 }
+
+// TestMovesByInstance: an operator's moves group into per-instance send
+// and receive lists; out-of-range and self moves are dropped.
+func TestMovesByInstance(t *testing.T) {
+	moves := []KeyMove{
+		{Key: "a", From: 0, To: 1},
+		{Key: "b", From: 0, To: 2},
+		{Key: "c", From: 2, To: 0},
+		{Key: "x", From: -1, To: 9}, // invalid, dropped
+		{Key: "y", From: 1, To: 1},  // no owner change, dropped
+	}
+	send, recv := movesByInstance(moves, 3)
+	if send[0]["a"] != 1 || send[0]["b"] != 2 || send[2]["c"] != 0 {
+		t.Fatalf("send = %v", send)
+	}
+	if recv[1]["a"] != 0 || recv[2]["b"] != 0 || recv[0]["c"] != 2 {
+		t.Fatalf("recv = %v", recv)
+	}
+	if len(send[1]) != 0 || len(recv[1]) != 1 {
+		t.Fatalf("instance 1 should send nothing and receive only a: send %v recv %v", send[1], recv[1])
+	}
+}

@@ -111,28 +111,64 @@ func (l *Live) PromoteSplit(op, key string, d int) ([]int, error) {
 	return append([]int(nil), replicas...), nil
 }
 
-// chooseReplicas builds a replica set of up to d instances for op:
-// the owner first, then instances on distinct usable (alive and
-// active) servers (scanning forward from the owner so the choice is
-// deterministic).
+// chooseReplicas builds a replica set of up to d instances for op: the
+// owner first, then instances on distinct usable (alive and active)
+// servers, least loaded over the last completed statistics window first
+// — a replica takes half of a hot key, so it belongs on the server with
+// the most room, not on whichever one the partitioner happened to label
+// owner+1. Ties, and every candidate before the first window closes,
+// keep the scan order forward from the owner, so the choice is
+// deterministic. Called with splitMu held.
 func (l *Live) chooseReplicas(op string, owner, d int) []int {
 	insts := l.execs[op]
 	n := len(insts)
 	if owner < 0 || owner >= n {
 		return nil
 	}
-	replicas := []int{owner}
+	var cands []int
 	used := map[int]bool{l.place.ServerOf(op, owner): true}
-	for off := 1; off < n && len(replicas) < d; off++ {
+	for off := 1; off < n; off++ {
 		cand := (owner + off) % n
 		s := l.place.ServerOf(op, cand)
 		if used[s] || !l.ServerUsable(s) {
 			continue
 		}
 		used[s] = true
-		replicas = append(replicas, cand)
+		cands = append(cands, cand)
 	}
-	return replicas
+	if l.windowLoad != nil {
+		sort.SliceStable(cands, func(i, j int) bool {
+			return l.windowLoad[l.place.ServerOf(op, cands[i])] < l.windowLoad[l.place.ServerOf(op, cands[j])]
+		})
+	}
+	if len(cands) > d-1 {
+		cands = cands[:d-1]
+	}
+	return append([]int{owner}, cands...)
+}
+
+// closeLoadWindow ends a statistics window for replica choice: each
+// server's window load is what its executors processed since the previous
+// call. It differences counters the executors keep anyway, once per
+// CollectPairStats, and only when splitting is enabled.
+func (l *Live) closeLoadWindow() {
+	if l.splits == nil {
+		return
+	}
+	l.splitMu.Lock()
+	defer l.splitMu.Unlock()
+	if l.windowLoad == nil {
+		l.windowLoad = make([]uint64, l.place.Servers())
+		l.loadMark = make([]uint64, l.place.Servers())
+	}
+	total := make([]uint64, len(l.loadMark))
+	for _, ex := range l.all {
+		total[ex.server] += ex.processed.Load()
+	}
+	for s := range total {
+		l.windowLoad[s] = total[s] - l.loadMark[s]
+		l.loadMark[s] = total[s]
+	}
 }
 
 // DemoteSplit demotes (op, key) back to single-owner routing: the split

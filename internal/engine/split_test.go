@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"testing"
 
+	"github.com/locastream/locastream/internal/routing"
 	"github.com/locastream/locastream/internal/topology"
 )
 
@@ -314,5 +315,44 @@ func TestSplitBalancesSkewAcrossServers(t *testing.T) {
 	mu, ms := maxLoad(unsplit), maxLoad(split)
 	if float64(ms) > 0.8*float64(mu) {
 		t.Fatalf("split max load %d not below 80%% of unsplit %d", ms, mu)
+	}
+}
+
+// TestPromoteSplitPicksIdleServer: the replica of a hot key goes to the
+// server that processed least in the last completed statistics window,
+// not to whichever server carries the label owner+1. Before any window
+// has closed the forward scan from the owner decides, as it always did.
+func TestPromoteSplitPicksIdleServer(t *testing.T) {
+	live := newFaultLive(t, 4, func(cfg *LiveConfig) { cfg.KeySplitting = true })
+	owner, ok := live.OwnerOf("B", "hot")
+	if !ok {
+		t.Fatal("no owner for B/hot")
+	}
+	busy, light, idle := (owner+1)%4, (owner+2)%4, (owner+3)%4
+	assign := map[string]int{"hot": owner, "busy": busy, "light": light}
+	live.UpdateTables(map[string]*routing.Table{"A": {Assign: assign}, "B": {Assign: assign}})
+
+	replicas, err := live.PromoteSplit("B", "hot", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replicas[1] != busy {
+		t.Fatalf("no window yet: replicas %v, want the forward scan's [%d %d]", replicas, owner, busy)
+	}
+	if err := live.DemoteSplit("B", "hot"); err != nil {
+		t.Fatal(err)
+	}
+
+	injectHot(t, live, "hot", 60)
+	injectHot(t, live, "busy", 30)
+	injectHot(t, live, "light", 5)
+	live.CollectPairStats()
+	replicas, err = live.PromoteSplit("B", "hot", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replicas) != 3 || replicas[0] != owner || replicas[1] != idle || replicas[2] != light {
+		t.Fatalf("replicas %v, want owner, idle, light = [%d %d %d] (busy server %d processed most)",
+			replicas, owner, idle, light, busy)
 	}
 }

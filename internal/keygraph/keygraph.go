@@ -17,6 +17,7 @@ package keygraph
 import (
 	"sort"
 
+	"github.com/locastream/locastream/internal/partition"
 	"github.com/locastream/locastream/internal/spacesaving"
 )
 
@@ -188,8 +189,6 @@ func (g *Graph) CSR() (ids []VertexID, weights []uint64, adj [][]Adj) {
 	return ids, weights, adj
 }
 
-// Adj is one adjacency entry: the neighbour's index and the edge weight.
-type Adj struct {
-	To     int
-	Weight uint64
-}
+// Adj is the partitioner's adjacency entry — the neighbour's index and
+// the edge weight — so CSR's lists go into a partition.Graph as they are.
+type Adj = partition.Adj

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/locastream/locastream/internal/control"
-	"github.com/locastream/locastream/internal/scale"
 )
 
 // ScaleResult describes one completed elastic scale operation.
@@ -109,14 +108,12 @@ func (a *App) scaleTo(n, maxMoves int) (ScaleResult, error) {
 	}
 
 	toUsable := make([]bool, capacity)
-	usableList := make([]int, 0, n)
+	anyUsable := false
 	for s := 0; s < capacity; s++ {
-		if activeAfter[s] && a.live.ServerAlive(s) {
-			toUsable[s] = true
-			usableList = append(usableList, s)
-		}
+		toUsable[s] = activeAfter[s] && a.live.ServerAlive(s)
+		anyUsable = anyUsable || toUsable[s]
 	}
-	if len(usableList) == 0 {
+	if !anyUsable {
 		return ScaleResult{}, fmt.Errorf(
 			"locastream: scaling to %d servers would leave no usable server", n)
 	}
@@ -148,32 +145,11 @@ func (a *App) scaleTo(n, maxMoves int) (ScaleResult, error) {
 		}
 	}
 
-	// Future optimizer runs must partition over the new membership.
-	if len(usableList) == capacity {
-		a.mgr.SetActiveServers(nil)
-	} else {
-		a.mgr.SetActiveServers(usableList)
-	}
-
-	plan, err := scale.PlanRescale(scale.PlanInput{
-		Place:       a.place,
-		From:        fromUsable,
-		To:          toUsable,
-		Tables:      a.mgr.Tables(),
-		Stats:       a.live.PeekPairStats(),
-		Splits:      a.live.SplitSnapshot(),
-		ExtraKeys:   a.live.StatefulKeys(),
-		OwnerOf:     a.live.OwnerOf,
-		StatefulOps: a.live.StatefulOps(),
-		Seed:        a.planSeed,
-		MaxMoves:    maxMoves,
-	})
+	// The manager plans the minimal-movement repartition against the new
+	// membership and migrates it while the leavers are still attached.
+	plan, version, err := a.mgr.Rescale(fromUsable, toUsable, maxMoves)
 	if err != nil {
-		return ScaleResult{}, fmt.Errorf("locastream: plan rescale: %w", err)
-	}
-	version, err := a.mgr.DeployRescale(plan.Tables, plan.Moves)
-	if err != nil {
-		return ScaleResult{}, fmt.Errorf("locastream: deploy rescale: %w", err)
+		return ScaleResult{}, fmt.Errorf("locastream: rescale to %d servers: %w", n, err)
 	}
 	// Leavers participated in the migration above (still attached); only
 	// now do they actually leave the membership.

@@ -160,3 +160,34 @@ func TestStartFaultToleranceBackgroundLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAutopilotTickAfterUnconfirmedKill covers the window between a
+// crash and the detector confirming it: the autopilot is not paused yet,
+// so a tick may try to deploy. The deploy must fail with an error
+// decision instead of waiting forever on the dead server while holding
+// the reconfiguration lock that recovery needs.
+func TestAutopilotTickAfterUnconfirmedKill(t *testing.T) {
+	app, err := locastream.NewApp(geoTopology(t, 4), locastream.WithServers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.Stop()
+	ap, err := app.NewAutopilot(locastream.AutopilotOptions{CostPerKey: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	injectGeo(t, app, 2400)
+	if err := app.KillServer(1); err != nil {
+		t.Fatal(err)
+	}
+	res := make(chan locastream.Decision, 1)
+	go func() { res <- ap.Tick() }()
+	select {
+	case d := <-res:
+		if d.Action != locastream.Errored {
+			t.Fatalf("tick after kill = %s (%s), want %s", d.Action, d.Reason, locastream.Errored)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("autopilot tick after a kill never returned")
+	}
+}

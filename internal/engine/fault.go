@@ -28,22 +28,23 @@ import (
 // keeps the default checkpoint interval cheap. Snapshotting does not
 // remove or mutate operator state; the stream keeps flowing.
 func (l *Live) CheckpointDirty() []KeyState {
-	var out []KeyState
-	var replies []chan []KeyState
+	var dirty []*executor
 	for _, ex := range l.all {
-		if ex.dirtyN.Load() == 0 {
-			continue
-		}
-		reply := make(chan []KeyState, 1)
-		// A killed/closed mailbox rejects the request (the executor's keys
-		// will be recovered from the previous checkpoint, which is exactly
-		// the bounded-loss guarantee).
-		if ex.box.put(message{kind: msgCheckpoint, ckptReply: reply}) {
-			replies = append(replies, reply)
+		if ex.dirtyN.Load() > 0 {
+			dirty = append(dirty, ex)
 		}
 	}
-	for _, ch := range replies {
-		out = append(out, <-ch...)
+	if dirty == nil {
+		return nil
+	}
+	// A killed or stopped executor reports nothing: its keys will be
+	// recovered from the previous checkpoint, which is exactly the
+	// bounded-loss guarantee.
+	recs := make([][]KeyState, len(dirty))
+	runCalls(dirty, func(i int, e *executor) { recs[i] = e.checkpoint() })
+	var out []KeyState
+	for _, r := range recs {
+		out = append(out, r...)
 	}
 	// Records of split keys become per-replica partials (Split/Replicas
 	// set), so the store keeps one record per replica instead of
@@ -93,38 +94,16 @@ func (l *Live) KillServer(s int) error {
 
 // settleKilled accounts for messages discarded from a killed mailbox so
 // no counter leaks and no caller parks forever: in-flight data tuples
-// become losses, metric/checkpoint requests get empty replies, parked
-// inspections are failed, and reconfiguration handshakes are released.
+// become losses and control calls run with no executor, releasing their
+// callers.
 func (l *Live) settleKilled(msgs []message) {
-	for i := range msgs {
-		m := &msgs[i]
+	for _, m := range msgs {
 		switch m.kind {
 		case msgData:
 			l.inflight.dec()
 			l.tuplesLost.Add(1)
-		case msgGetStats:
-			m.statsReply <- nil
-		case msgCheckpoint:
-			m.ckptReply <- nil
-		case msgInspect:
-			if m.inspectFn != nil {
-				m.inspectFn(nil)
-			}
-		case msgReconf:
-			if m.ack != nil {
-				m.ack <- struct{}{}
-			}
-			if m.reconf != nil && m.reconf.done != nil {
-				m.reconf.done.Done()
-			}
-		case msgArm:
-			if m.ack != nil {
-				m.ack <- struct{}{}
-			}
-		case msgSplit:
-			if m.ack != nil {
-				m.ack <- struct{}{}
-			}
+		case msgCall:
+			m.call(nil)
 		}
 	}
 }
@@ -288,35 +267,34 @@ func (l *Live) instAlive(op string) []bool {
 // be installed (UpdateTables/ApplyAliveRouting): any tuple reaching an
 // adopting instance for a recovering key buffers until RecoverRestore
 // delivers the checkpointed state, so no tuple is processed against
-// missing state. expects maps op -> instance -> keys.
+// missing state. expects maps op -> instance -> keys. An instance that
+// is dead, or dies before it armed, fails the call.
 func (l *Live) RecoverArm(expects map[string]map[int][]string) error {
 	if l.stopped.Load() {
 		return errors.New("engine: recover on stopped engine")
 	}
-	var acks []chan struct{}
 	ops := make([]string, 0, len(expects))
 	for op := range expects {
 		ops = append(ops, op)
 	}
 	sort.Strings(ops)
+	var execs []*executor
+	var keys [][]string
 	for _, op := range ops {
 		insts := l.execs[op]
 		if insts == nil {
 			return fmt.Errorf("engine: recover: unknown operator %q", op)
 		}
-		for inst, keys := range expects[op] {
+		for inst, ks := range expects[op] {
 			if inst < 0 || inst >= len(insts) {
 				return fmt.Errorf("engine: recover: unknown instance %s[%d]", op, inst)
 			}
-			ack := make(chan struct{}, 1)
-			if !insts[inst].box.put(message{kind: msgArm, armKeys: keys, ack: ack}) {
-				return fmt.Errorf("engine: recover: instance %s[%d] is dead", op, inst)
-			}
-			acks = append(acks, ack)
+			execs = append(execs, insts[inst])
+			keys = append(keys, ks)
 		}
 	}
-	for _, ack := range acks {
-		<-ack
+	if missed := runCalls(execs, func(i int, e *executor) { e.buf.Expect(keys[i]) }); missed >= 0 {
+		return fmt.Errorf("engine: recover: instance %s[%d] is dead", execs[missed].op.Name, execs[missed].inst)
 	}
 	return nil
 }
@@ -329,37 +307,34 @@ func (l *Live) RecoverArm(expects map[string]map[int][]string) error {
 // FIFO mailboxes order the completion barrier strictly after the
 // restores, so when RecoverRestore returns, every buffered tuple has
 // been processed against the restored state. Each record's Inst must
-// already be rewritten to the adopting instance.
+// already be rewritten to the adopting instance. An instance that is
+// dead, or dies before the barrier ran, fails the call.
 func (l *Live) RecoverRestore(records []KeyState) error {
 	if l.stopped.Load() {
 		return errors.New("engine: recover on stopped engine")
 	}
-	touched := make(map[*executor]struct{})
+	var touched []*executor
+	seen := make(map[*executor]bool)
 	for _, r := range records {
 		insts := l.execs[r.Op]
 		if insts == nil || r.Inst < 0 || r.Inst >= len(insts) {
 			return fmt.Errorf("engine: restore: unknown instance %s[%d]", r.Op, r.Inst)
 		}
 		ex := insts[r.Inst]
-		if !ex.box.put(message{
-			kind: msgMigrate, migKey: r.Key, migData: r.Data,
-			migHasData: r.Data != nil, migMerge: r.Merge && r.Data != nil,
-		}) {
+		m := message{kind: msgMigrate, key: r.Key}
+		if r.Data != nil {
+			m.mig = &migration{data: r.Data, merge: r.Merge}
+		}
+		if !ex.box.put(m) {
 			return fmt.Errorf("engine: restore: instance %s[%d] is dead", r.Op, r.Inst)
 		}
-		touched[ex] = struct{}{}
-	}
-	done := make(chan struct{}, len(touched))
-	n := 0
-	for ex := range touched {
-		if ex.box.put(message{kind: msgInspect, inspectFn: func(topology.Processor) {
-			done <- struct{}{}
-		}}) {
-			n++
+		if !seen[ex] {
+			seen[ex] = true
+			touched = append(touched, ex)
 		}
 	}
-	for i := 0; i < n; i++ {
-		<-done
+	if missed := runCalls(touched, func(int, *executor) {}); missed >= 0 {
+		return fmt.Errorf("engine: restore: instance %s[%d] died", touched[missed].op.Name, touched[missed].inst)
 	}
 	return nil
 }

@@ -114,14 +114,15 @@ func BenchmarkMailbox(b *testing.B) {
 	done := make(chan uint64)
 	go func() {
 		var count uint64
+		var buf []message
 		for {
-			msg, ok := mb.get()
+			batch, ok := mb.getBatch(buf)
 			if !ok {
 				done <- count
 				return
 			}
-			_ = msg
-			count++
+			count += uint64(len(batch))
+			buf = batch
 		}
 	}()
 	b.ReportAllocs()

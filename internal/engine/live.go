@@ -168,80 +168,83 @@ type Live struct {
 	srcSeq atomic.Uint64
 }
 
-// message is the single envelope exchanged between executors and with the
-// engine/manager, covering data tuples and the protocol messages of
-// Algorithm 1.
+// message is the single envelope an executor's mailbox carries: data
+// tuples, the two protocol messages that cross the wire (MIGRATE and
+// PROPAGATE), and control calls. It is copied at every handoff of every
+// tuple, so it holds only what data needs plus one pointer per rarer
+// kind (88 B on 64-bit platforms).
 type message struct {
 	kind msgKind
 
-	// data
 	tuple topology.Tuple
 	keyOp string // operator whose routing key last applied to the tuple
-	key   string // that key (used for buffering and instrumentation)
+	key   string // that key (buffering, instrumentation); a MIGRATE's key
 
-	// get-metrics
-	statsReply chan []instPairStat
-	// statsPeek leaves the sketches un-reset (checkpoint-time retention
-	// must not consume the optimizer's measurement window).
-	statsPeek bool
+	// mig is a MIGRATE's snapshot; nil means the sender held no state for
+	// the key.
+	mig *migration
 
-	// checkpoint
-	ckptReply chan []KeyState
-
-	// inspect (state access from the executor goroutine)
-	inspectFn func(topology.Processor)
-
-	// send-reconfiguration
-	reconf *instReconfig
-	ack    chan struct{}
-
-	// arm (recovery: buffer these keys until their state arrives)
-	armKeys []string
-
-	// migrate
-	migKey  string
-	migData []byte
-	// migHasData marks a snapshot as present even when it is empty; the
-	// payload alone cannot distinguish "no state" from "empty state",
-	// so the flag crosses the wire as an explicit bit.
-	migHasData bool
-	// migMerge marks the payload as a split-key partial to fold with
-	// MergeKey instead of installing with RestoreKey. Merge records are
-	// engine-internal control traffic and never cross the wire encoder.
-	migMerge bool
-
-	// split control (hot-key promote/demote). The affected key rides in
-	// migKey and the narrow types below pack into padding the struct
-	// already paid for, so the hot-path message envelope does not grow.
-	splitCmd   splitCmd
-	splitOwner int32
+	call callFn
 }
 
 type msgKind int
 
 const (
 	msgData msgKind = iota + 1
-	msgGetStats
-	msgReconf
 	msgPropagate
 	msgMigrate
-	msgInspect
-	msgCheckpoint
-	msgArm
-	msgSplit
+	// msgCall runs a control step on the executor; see callFn.
+	msgCall
 )
 
-// splitCmd selects the split-control action of a msgSplit message.
-type splitCmd uint8
+// migration is the payload of a MIGRATE that carries state.
+type migration struct {
+	// data may be empty: "empty state" and "no state" (a nil *migration)
+	// are different, so the wire carries the distinction as its own bit.
+	data []byte
+	// merge marks data as a split-key partial to fold with MergeKey
+	// instead of installing with RestoreKey. Merge records are
+	// engine-internal and never cross the wire encoder.
+	merge bool
+}
 
-const (
-	// splitCmdDemote makes a non-owner replica snapshot and delete its
-	// partial, install a forwarding tombstone, and send the partial to
-	// the owner as a merge record.
-	splitCmdDemote splitCmd = iota + 1
-	// splitCmdArm clears a leftover tombstone before a (re-)promotion.
-	splitCmdArm
-)
+// callFn is a control step (GET_METRICS, SEND_RECONF, a checkpoint, a
+// barrier, ...) run on an executor's goroutine. It shares the data
+// mailbox, so it runs after every message enqueued before it: the §3.4
+// wave, the restore barrier and the demote barrier depend on exactly
+// that. If a kill discards it from the mailbox it runs with e == nil on
+// the killing goroutine instead, and must then release whatever its
+// caller waits on. runCalls is the only place that builds one.
+type callFn func(e *executor)
+
+// runCalls runs fn(i, execs[i]) on every executor's goroutine, in its
+// mailbox order, and returns once each call has run or been discarded —
+// never blocking on a stopped or killed executor. fn writes its results
+// into the caller's slot i. missed is the index of the first executor
+// whose call did not run (stopped, or killed before it ran), or -1.
+func runCalls(execs []*executor, fn func(i int, e *executor)) (missed int) {
+	var wg sync.WaitGroup
+	ran := make([]bool, len(execs))
+	for i, ex := range execs {
+		wg.Add(1)
+		if !ex.box.put(message{kind: msgCall, call: func(e *executor) {
+			defer wg.Done()
+			if e != nil {
+				fn(i, e)
+				ran[i] = true
+			}
+		}}) {
+			wg.Done()
+		}
+	}
+	wg.Wait()
+	for i, ok := range ran {
+		if !ok {
+			return i
+		}
+	}
+	return -1
+}
 
 // KeyState is one checkpointed key: the owning operator and instance at
 // snapshot time, and the serialized per-key state.
@@ -449,21 +452,12 @@ func (l *Live) deliverWire(msg transport.Message) {
 	}
 	box := insts[msg.To.Instance].box
 	switch msg.Kind {
-	case transport.KindData:
-		ok := box.put(message{
-			kind:  msgData,
-			tuple: topology.Tuple{Values: msg.Values, Padding: msg.Padding},
-			keyOp: msg.KeyOp,
-			key:   msg.Key,
-		})
-		if !ok {
-			// The instance died between the wire send and delivery; the
-			// sender already counted the tuple in flight.
-			l.inflight.dec()
-			l.tuplesLost.Add(1)
-		}
 	case transport.KindMigrate:
-		box.put(message{kind: msgMigrate, migKey: msg.MigKey, migData: msg.MigData, migHasData: msg.MigHasData})
+		m := message{kind: msgMigrate, key: msg.MigKey}
+		if msg.MigHasData {
+			m.mig = &migration{data: msg.MigData}
+		}
+		box.put(m)
 	case transport.KindPropagate:
 		box.put(message{kind: msgPropagate})
 	default:
@@ -564,15 +558,16 @@ func (l *Live) sendWire(toOp string, toInst, fromServer, toServer int, msg messa
 		wire.KeyOp = msg.keyOp
 		wire.Key = msg.key
 	case msgMigrate:
-		if msg.migMerge {
+		if msg.mig != nil && msg.mig.merge {
 			// The wire encoding has no merge flag; merge records are
 			// engine-internal control traffic and deliver directly.
 			return false
 		}
 		wire.Kind = transport.KindMigrate
-		wire.MigKey = msg.migKey
-		wire.MigData = msg.migData
-		wire.MigHasData = msg.migHasData
+		wire.MigKey = msg.key
+		if msg.mig != nil {
+			wire.MigData, wire.MigHasData = msg.mig.data, true
+		}
 	case msgPropagate:
 		wire.Kind = transport.KindPropagate
 	default:
@@ -695,8 +690,9 @@ func (l *Live) StatsSnapshot() Stats {
 
 // CollectPairStats performs steps 1-2 of Algorithm 1: every instance
 // reports (and resets) its pair sketches; the results are merged per
-// operator pair. On a stopped engine the rejected requests are skipped,
-// so the call degrades to an empty report instead of blocking forever.
+// operator pair. Stopped and killed instances report nothing, so on a
+// stopped engine the call degrades to an empty report instead of
+// blocking forever.
 func (l *Live) CollectPairStats() []PairStat {
 	stats := l.pairStats(true)
 	l.closeLoadWindow()
@@ -712,22 +708,11 @@ func (l *Live) CollectPairStats() []PairStat {
 func (l *Live) PeekPairStats() []PairStat { return l.pairStats(false) }
 
 func (l *Live) pairStats(reset bool) []PairStat {
-	replies := make([]chan []instPairStat, len(l.all))
-	for i, ex := range l.all {
-		reply := make(chan []instPairStat, 1)
-		// A closed mailbox rejects the request; the executor drains every
-		// accepted message before exiting, so an accepted request is
-		// always answered.
-		if ex.box.put(message{kind: msgGetStats, statsReply: reply, statsPeek: !reset}) {
-			replies[i] = reply
-		}
-	}
+	snaps := make([][]instPairStat, len(l.all))
+	runCalls(l.all, func(i int, e *executor) { snaps[i] = e.pairSnapshot(reset) })
 	stats := make([]instPairStat, 0, len(l.all))
-	for _, ch := range replies {
-		if ch == nil {
-			continue
-		}
-		stats = append(stats, <-ch...)
+	for _, s := range snaps {
+		stats = append(stats, s...)
 	}
 	return mergePairStats(stats, l.cfg.SketchCapacity, func(op string) int {
 		return len(l.execs[op])
@@ -777,35 +762,44 @@ func mergePairStats(stats []instPairStat, sketchCap int, parallelism func(op str
 // DAG-ordered propagation (5) and state migration with buffering (6). It
 // returns once every instance has propagated and received all awaited
 // state. The data stream keeps flowing during the call.
+//
+// A propagation wave cannot pass a dead instance, so Reconfigure refuses
+// to start while any server is dead (repair goes through RecoverArm,
+// UpdateTables and RecoverRestore instead), and a server killed during
+// steps 3-4 aborts the round with an error, disarming the instances that
+// had armed. A kill after step 4 is not handled.
 func (l *Live) Reconfigure(plan ReconfigPlan) error {
 	if l.stopped.Load() {
 		return errors.New("engine: reconfigure on stopped engine")
 	}
+	for s := range l.dead {
+		if l.dead[s].Load() {
+			return fmt.Errorf("engine: reconfigure: server %d is dead", s)
+		}
+	}
 	var done sync.WaitGroup
 
-	// Step 3: build and send per-instance reconfiguration messages.
-	acks := make([]chan struct{}, 0, len(l.all))
+	// Steps 3-4: arm every instance with its reconfiguration; a call
+	// returns as the instance's acknowledgement. After this point every
+	// instance has armed its migration buffer, so tuples routed with the
+	// new tables can never be processed before their state arrives.
+	execs := make([]*executor, 0, len(l.all))
+	rcs := make([]*instReconfig, 0, len(l.all))
 	for _, opName := range l.topo.Order() {
 		insts := l.execs[opName]
 		sendLists, recvLists := movesByInstance(plan.Moves[opName], len(insts))
+		tables := tablesForSender(l.topo, opName, plan.Tables)
 		for i, ex := range insts {
-			rc := &instReconfig{
-				tables: tablesForSender(l.topo, opName, plan.Tables),
-				send:   sendLists[i],
-				recv:   recvLists[i],
-				done:   &done,
-			}
-			done.Add(1)
-			ack := make(chan struct{}, 1)
-			acks = append(acks, ack)
-			ex.box.put(message{kind: msgReconf, reconf: rc, ack: ack})
+			execs = append(execs, ex)
+			rcs = append(rcs, &instReconfig{tables: tables, send: sendLists[i], recv: recvLists[i], done: &done})
 		}
 	}
-	// Step 4: wait for all acknowledgements. After this point every
-	// instance has armed its migration buffer, so tuples routed with the
-	// new tables can never be processed before their state arrives.
-	for _, ack := range acks {
-		<-ack
+	if missed := runCalls(execs, func(i int, e *executor) {
+		done.Add(1)
+		e.onReconf(rcs[i])
+	}); missed >= 0 {
+		runCalls(execs, func(_ int, e *executor) { e.cancelReconf() })
+		return fmt.Errorf("engine: reconfigure: server %d died before acknowledging", execs[missed].server)
 	}
 
 	// The manager-side router for the external source hop switches now,
@@ -912,28 +906,17 @@ func (l *Live) Loads(op string) []uint64 {
 
 // ProcessorState runs fn inside the executor goroutine of (op, inst),
 // giving safe access to the processor's state. It blocks until fn has
-// run. It returns an error for unknown, stopped or dead instances (a
-// killed server settles queued inspections with a nil processor).
+// run. It returns an error, without running fn, for unknown, stopped or
+// dead instances, including one killed while the call was queued.
 func (l *Live) ProcessorState(op string, inst int, fn func(topology.Processor)) error {
 	insts := l.execs[op]
 	if inst < 0 || inst >= len(insts) {
 		return fmt.Errorf("engine: unknown instance %s[%d]", op, inst)
 	}
-	doneCh := make(chan struct{})
-	var ierr error
-	accepted := insts[inst].box.put(message{kind: msgInspect, inspectFn: func(p topology.Processor) {
-		defer close(doneCh)
-		if p == nil {
-			ierr = fmt.Errorf("engine: instance %s[%d] is dead", op, inst)
-			return
-		}
-		fn(p)
-	}})
-	if !accepted {
+	if runCalls(insts[inst:inst+1], func(_ int, e *executor) { fn(e.proc) }) >= 0 {
 		return fmt.Errorf("engine: instance %s[%d] is stopped or dead", op, inst)
 	}
-	<-doneCh
-	return ierr
+	return nil
 }
 
 // --- executor ---------------------------------------------------------------
@@ -1106,25 +1089,12 @@ func (e *executor) dispatch(msg message) {
 	switch msg.kind {
 	case msgData:
 		e.onData(msg)
-	case msgGetStats:
-		e.onGetStats(msg)
-	case msgReconf:
-		e.onReconf(msg)
 	case msgPropagate:
 		e.onPropagate()
 	case msgMigrate:
 		e.onMigrate(msg)
-	case msgInspect:
-		if msg.inspectFn != nil {
-			msg.inspectFn(e.proc)
-		}
-	case msgCheckpoint:
-		e.onCheckpoint(msg)
-	case msgArm:
-		e.buf.Expect(msg.armKeys)
-		msg.ack <- struct{}{}
-	case msgSplit:
-		e.onSplit(msg)
+	case msgCall:
+		msg.call(e)
 	}
 }
 
@@ -1239,25 +1209,26 @@ func (e *executor) forward(re *resolvedEdge, keyOp, key string, out topology.Tup
 	}
 }
 
-func (e *executor) onGetStats(msg message) {
+// pairSnapshot reports this instance's pair sketches (GET_METRICS),
+// resetting them unless the caller only peeks.
+func (e *executor) pairSnapshot(reset bool) []instPairStat {
 	stats := make([]instPairStat, 0, len(e.sketches))
 	for id, sk := range e.sketches {
 		stats = append(stats, instPairStat{fromOp: id[0], toOp: id[1], pairs: sk.Counters()})
-		if !msg.statsPeek {
+		if reset {
 			sk.Reset()
 		}
 	}
-	msg.statsReply <- stats
+	return stats
 }
 
-// onCheckpoint snapshots every dirty key's state (without removing it)
+// checkpoint snapshots every dirty key's state (without removing it)
 // and resets the dirty set. Keys whose state vanished since they were
 // marked (migrated away) are simply skipped: the record of their new
 // owner supersedes them.
-func (e *executor) onCheckpoint(msg message) {
+func (e *executor) checkpoint() []KeyState {
 	if e.keyed == nil || len(e.dirty) == 0 {
-		msg.ckptReply <- nil
-		return
+		return nil
 	}
 	keys := make([]string, 0, len(e.dirty))
 	for k := range e.dirty {
@@ -1272,23 +1243,38 @@ func (e *executor) onCheckpoint(msg message) {
 		delete(e.dirty, k)
 	}
 	e.dirtyN.Store(0)
-	msg.ckptReply <- recs
+	return recs
 }
 
-func (e *executor) onReconf(msg message) {
-	e.pendingReconf = msg.reconf
+func (e *executor) onReconf(rc *instReconfig) {
+	e.pendingReconf = rc
 	e.propagated = false
 	e.propagatesSeen = 0
 	// Arm the migration buffer before acknowledging: once the manager
 	// has every ACK, any instance may route with the new tables, and
 	// tuples for moved keys must be buffered until their state arrives.
-	keys := make([]string, 0, len(msg.reconf.recv))
-	for k := range msg.reconf.recv {
+	keys := make([]string, 0, len(rc.recv))
+	for k := range rc.recv {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	e.buf.Expect(keys)
-	msg.ack <- struct{}{}
+}
+
+// cancelReconf undoes onReconf for a round that never propagates: the
+// armed keys stop buffering and whatever they held is processed here,
+// where the unchanged tables still route them.
+func (e *executor) cancelReconf() {
+	rc := e.pendingReconf
+	if rc == nil {
+		return
+	}
+	e.pendingReconf = nil
+	for k := range rc.recv {
+		for _, t := range e.buf.Arrive(k) {
+			e.process(t, e.op.Name, k)
+		}
+	}
 }
 
 func (e *executor) onPropagate() {
@@ -1332,9 +1318,11 @@ func (e *executor) onPropagate() {
 					keyed.DeleteKey(k)
 				}
 			}
-			e.eng.send(e.op.Name, rc.send[k], e.server, message{
-				kind: msgMigrate, migKey: k, migData: data, migHasData: hasData,
-			})
+			m := message{kind: msgMigrate, key: k}
+			if hasData {
+				m.mig = &migration{data: data}
+			}
+			e.eng.send(e.op.Name, rc.send[k], e.server, m)
 		}
 	}
 	// Forward the propagation wave to every successor instance.
@@ -1349,16 +1337,16 @@ func (e *executor) onPropagate() {
 }
 
 func (e *executor) onMigrate(msg message) {
-	if msg.migHasData {
+	if mig := msg.mig; mig != nil {
 		switch {
-		case msg.migMerge && e.mergeable != nil:
+		case mig.merge && e.mergeable != nil:
 			// A split-key partial: fold it into whatever state already
 			// lives here with the operator's associative combine (the
 			// payload is not authoritative alone, so RestoreKey semantics
 			// would be wrong for processors that replace state).
-			_ = e.mergeable.MergeKey(msg.migKey, msg.migData)
+			_ = e.mergeable.MergeKey(msg.key, mig.data)
 			e.eng.mergesApplied.Add(1)
-			e.markDirty(msg.migKey)
+			e.markDirty(msg.key)
 		case e.keyed != nil:
 			// Restore failures indicate incompatible processor versions;
 			// the engine surfaces them as a panic in tests via the
@@ -1366,12 +1354,12 @@ func (e *executor) onMigrate(msg message) {
 			// continues, matching the at-most-once semantics of the
 			// underlying engine ("the guarantees are the ones provided
 			// by the streaming engine", §3.4).
-			_ = e.keyed.RestoreKey(msg.migKey, msg.migData)
-			e.markDirty(msg.migKey)
+			_ = e.keyed.RestoreKey(msg.key, mig.data)
+			e.markDirty(msg.key)
 		}
 	}
-	for _, t := range e.buf.Arrive(msg.migKey) {
-		e.process(t, e.op.Name, msg.migKey)
+	for _, t := range e.buf.Arrive(msg.key) {
+		e.process(t, e.op.Name, msg.key)
 	}
 	e.maybeFinishReconf()
 }
@@ -1385,32 +1373,6 @@ func (e *executor) markDirty(key string) {
 	if _, ok := e.dirty[key]; !ok {
 		e.dirty[key] = struct{}{}
 		e.dirtyN.Add(1)
-	}
-}
-
-// onSplit executes one split-control action in the executor goroutine.
-func (e *executor) onSplit(msg message) {
-	switch msg.splitCmd {
-	case splitCmdDemote:
-		if e.demoted == nil {
-			e.demoted = make(map[string]int)
-		}
-		e.demoted[msg.migKey] = int(msg.splitOwner)
-		if e.keyed != nil {
-			if data, ok := e.keyed.SnapshotKey(msg.migKey); ok {
-				e.keyed.DeleteKey(msg.migKey)
-				if _, dirty := e.dirty[msg.migKey]; dirty {
-					delete(e.dirty, msg.migKey)
-					e.dirtyN.Add(-1)
-				}
-				e.eng.sendMerge(e.op.Name, int(msg.splitOwner), msg.migKey, data)
-			}
-		}
-	case splitCmdArm:
-		delete(e.demoted, msg.migKey)
-	}
-	if msg.ack != nil {
-		msg.ack <- struct{}{}
 	}
 }
 

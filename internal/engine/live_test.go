@@ -364,22 +364,18 @@ func TestMailbox(t *testing.T) {
 	if mb.len() != 2 {
 		t.Fatalf("len = %d", mb.len())
 	}
-	m1, ok := mb.get()
-	if !ok || m1.key != "1" {
-		t.Fatalf("get 1 = %+v %v", m1, ok)
-	}
-	m2, _ := mb.get()
-	if m2.key != "2" {
-		t.Fatal("FIFO violated")
+	batch, ok := mb.getBatch(nil)
+	if !ok || len(batch) != 2 || batch[0].key != "1" || batch[1].key != "2" {
+		t.Fatalf("getBatch = %+v %v, want keys 1, 2 in order", batch, ok)
 	}
 	// Close with items: drain then report closed.
 	mb.put(message{kind: msgData, key: "3"})
 	mb.close()
-	if m3, ok := mb.get(); !ok || m3.key != "3" {
+	if batch, ok := mb.getBatch(batch); !ok || len(batch) != 1 || batch[0].key != "3" {
 		t.Fatal("close should let queued items drain")
 	}
-	if _, ok := mb.get(); ok {
-		t.Fatal("get on drained closed mailbox should report closed")
+	if _, ok := mb.getBatch(nil); ok {
+		t.Fatal("getBatch on drained closed mailbox should report closed")
 	}
 	mb.put(message{kind: msgData, key: "4"}) // dropped silently
 	if mb.len() != 0 {
@@ -403,12 +399,15 @@ func TestMailboxConcurrent(t *testing.T) {
 	done := make(chan int)
 	go func() {
 		count := 0
+		var buf []message
 		for {
-			if _, ok := mb.get(); !ok {
+			batch, ok := mb.getBatch(buf)
+			if !ok {
 				done <- count
 				return
 			}
-			count++
+			count += len(batch)
+			buf = batch
 		}
 	}()
 	wg.Wait()

@@ -126,31 +126,9 @@ func (m *mailbox) tryGetBatch(buf []message) []message {
 	return batch
 }
 
-// get dequeues a single message, blocking until one is available or the
-// mailbox is closed (ok == false). The executor hot path uses getBatch;
-// get remains for tests and single-message call sites.
-func (m *mailbox) get() (message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.items) == 0 && !m.closed {
-		m.nonEmp.Wait()
-	}
-	if len(m.items) == 0 {
-		return message{}, false
-	}
-	msg := m.items[0]
-	// Avoid retaining tuple payloads in the backing array.
-	m.items[0] = message{}
-	m.items = m.items[1:]
-	if len(m.items) == 0 {
-		m.items = nil // release the backing array
-	}
-	return msg, true
-}
-
 // kill closes the mailbox and discards everything still queued,
 // returning the discarded messages so the caller can settle their
-// accounting (in-flight counts, parked repliers). Unlike close, queued
+// accounting (in-flight counts, discarded control calls). Unlike close, queued
 // work is lost rather than drained — this models a server crash, where
 // messages sitting in the dead worker's queue never execute.
 func (m *mailbox) kill() []message {

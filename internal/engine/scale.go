@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-
-	"github.com/locastream/locastream/internal/topology"
 )
 
 // This file is the engine half of elastic scaling: servers enter and
@@ -60,37 +58,24 @@ func (l *Live) ServerCapacity() int { return l.place.Servers() }
 // keys — keys with state but absent from both the routing tables and
 // the traffic sketches — still migrate off a leaving server.
 func (l *Live) StatefulKeys() map[string][]string {
-	type reply struct {
-		op   string
-		keys []string
-	}
-	ch := make(chan reply, len(l.all))
-	pending := 0
-	for _, ex := range l.all {
-		op := ex.op.Name
-		ok := ex.box.put(message{kind: msgInspect, inspectFn: func(p topology.Processor) {
-			var keys []string
-			if k, isKeyed := p.(topology.Keyed); isKeyed {
-				keys = k.StateKeys()
-			}
-			ch <- reply{op: op, keys: keys}
-		}})
-		if ok {
-			pending++
+	keys := make([][]string, len(l.all))
+	runCalls(l.all, func(i int, e *executor) {
+		if e.keyed != nil {
+			keys[i] = e.keyed.StateKeys()
 		}
-	}
+	})
 	sets := make(map[string]map[string]struct{})
-	for i := 0; i < pending; i++ {
-		r := <-ch
-		if len(r.keys) == 0 {
+	for i, ks := range keys {
+		if len(ks) == 0 {
 			continue
 		}
-		set := sets[r.op]
+		op := l.all[i].op.Name
+		set := sets[op]
 		if set == nil {
 			set = make(map[string]struct{})
-			sets[r.op] = set
+			sets[op] = set
 		}
-		for _, k := range r.keys {
+		for _, k := range ks {
 			set[k] = struct{}{}
 		}
 	}

@@ -92,15 +92,10 @@ func (l *Live) PromoteSplit(op, key string, d int) ([]int, error) {
 	// Clear any tombstone left by a previous demotion of the same key
 	// BEFORE installing split routing: a tombstoned replica would bounce
 	// every routed tuple back to the owner, silently disabling the split.
-	var acks []chan struct{}
-	for _, r := range replicas[1:] {
-		ack := make(chan struct{}, 1)
-		if l.execs[op][r].box.put(message{kind: msgSplit, splitCmd: splitCmdArm, migKey: key, ack: ack}) {
-			acks = append(acks, ack)
-		}
-	}
-	for _, ack := range acks {
-		<-ack
+	// A replica that died meanwhile fails the promotion.
+	others := l.instances(op, replicas[1:])
+	if missed := runCalls(others, func(_ int, e *executor) { delete(e.demoted, key) }); missed >= 0 {
+		return nil, fmt.Errorf("engine: replica %s[%d] died during promotion of %q", op, others[missed].inst, key)
 	}
 	l.forEachFieldsPolicy(op, func(tf *routing.TableFields) { tf.SetSplit(key, replicas) })
 	if l.splits[op] == nil {
@@ -177,7 +172,9 @@ func (l *Live) closeLoadWindow() {
 // installs a forwarding tombstone for late in-flight tuples, and sends
 // the partial to the owner as a merge record. DemoteSplit returns only
 // after the owner has folded every partial, so a caller observing the
-// return sees fully merged single-owner state.
+// return sees fully merged single-owner state. A replica killed before
+// its demote ran takes its partial with it (the checkpointed partial is
+// the recovery path); DemoteSplit still returns nil.
 func (l *Live) DemoteSplit(op, key string) error {
 	l.splitMu.Lock()
 	replicas, ok := l.splits[op][key]
@@ -190,29 +187,43 @@ func (l *Live) DemoteSplit(op, key string) error {
 	l.splitMu.Unlock()
 
 	owner := replicas[0]
-	var acks []chan struct{}
-	for _, r := range replicas[1:] {
-		ack := make(chan struct{}, 1)
-		if l.execs[op][r].box.put(message{
-			kind: msgSplit, splitCmd: splitCmdDemote, migKey: key, splitOwner: int32(owner), ack: ack,
-		}) {
-			acks = append(acks, ack)
-		}
-	}
-	for _, ack := range acks {
-		<-ack
-	}
-	// Every replica acked after its demote ran, and the demote enqueued
-	// the merge record into the owner's FIFO mailbox directly; a barrier
-	// behind them therefore runs after every fold.
-	done := make(chan struct{})
-	if l.execs[op][owner].box.put(message{kind: msgInspect, inspectFn: func(topology.Processor) {
-		close(done)
-	}}) {
-		<-done
-	}
+	runCalls(l.instances(op, replicas[1:]), func(_ int, e *executor) { e.demote(key, owner) })
+	// Every demote has run, and each enqueued its merge record into the
+	// owner's FIFO mailbox directly; a barrier behind them therefore runs
+	// after every fold.
+	runCalls(l.execs[op][owner:owner+1], func(int, *executor) {})
 	l.splitDemotions.Add(1)
 	return nil
+}
+
+// demote makes this non-owner replica snapshot and delete its partial of
+// key, install a forwarding tombstone towards owner, and send the
+// partial to owner as a merge record.
+func (e *executor) demote(key string, owner int) {
+	if e.demoted == nil {
+		e.demoted = make(map[string]int)
+	}
+	e.demoted[key] = owner
+	if e.keyed == nil {
+		return
+	}
+	if data, ok := e.keyed.SnapshotKey(key); ok {
+		e.keyed.DeleteKey(key)
+		if _, dirty := e.dirty[key]; dirty {
+			delete(e.dirty, key)
+			e.dirtyN.Add(-1)
+		}
+		e.eng.sendMerge(e.op.Name, owner, key, data)
+	}
+}
+
+// instances resolves instance numbers of op to their executors.
+func (l *Live) instances(op string, insts []int) []*executor {
+	out := make([]*executor, len(insts))
+	for i, inst := range insts {
+		out[i] = l.execs[op][inst]
+	}
+	return out
 }
 
 // sendMerge delivers one split-key partial to the owner instance. Merge
@@ -220,9 +231,7 @@ func (l *Live) DemoteSplit(op, key string) error {
 // the ordering argument of DemoteSplit needs the synchronous enqueue).
 func (l *Live) sendMerge(op string, owner int, key string, data []byte) {
 	l.mergesSent.Add(1)
-	if !l.execs[op][owner].box.put(message{
-		kind: msgMigrate, migKey: key, migData: data, migHasData: true, migMerge: true,
-	}) {
+	if !l.execs[op][owner].box.put(message{kind: msgMigrate, key: key, mig: &migration{data: data, merge: true}}) {
 		// The owner died mid-demotion; its live state is gone with it and
 		// the checkpointed partials are the recovery path. Settle the
 		// backlog gauge so it does not leak forever.

@@ -157,8 +157,9 @@ func withK(opts Options, k int) Options {
 // it along with the mapping from subgraph indices to original indices.
 func induced(g *Graph, parts []int, p int) (*Graph, []int) {
 	var toGlobal []int
-	toLocal := make(map[int]int)
+	toLocal := make([]int, len(parts)) // -1: outside part p
 	for v, pv := range parts {
+		toLocal[v] = -1
 		if pv == p {
 			toLocal[v] = len(toGlobal)
 			toGlobal = append(toGlobal, v)
@@ -171,7 +172,7 @@ func induced(g *Graph, parts []int, p int) (*Graph, []int) {
 	for lv, gv := range toGlobal {
 		sub.Weights[lv] = g.Weights[gv]
 		for _, a := range g.Adj[gv] {
-			if la, ok := toLocal[a.To]; ok {
+			if la := toLocal[a.To]; la >= 0 {
 				sub.Adj[lv] = append(sub.Adj[lv], Adj{To: la, Weight: a.Weight})
 			}
 		}

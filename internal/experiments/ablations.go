@@ -199,18 +199,21 @@ func AllFigures(scale Scale) ([]Figure, error) {
 	return out, nil
 }
 
+// ablationIDs names every ablation, in the order AllAblations runs them.
+var ablationIDs = []string{
+	"ablation-refinement", "ablation-sketch", "ablation-alpha",
+	"ablation-period", "ablation-rack",
+}
+
 // AllAblations runs every ablation at the given scale.
 func AllAblations(scale Scale) ([]Figure, error) {
 	var out []Figure
-	for _, fn := range []func(Scale) (Figure, error){
-		AblationRefinement, AblationSketchCapacity, AblationAlpha, AblationPeriod,
-		AblationRackAware,
-	} {
-		fig, err := fn(scale)
+	for _, id := range ablationIDs {
+		figs, err := FigureByID(id, scale)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, fig)
+		out = append(out, figs...)
 	}
 	return out, nil
 }

@@ -166,6 +166,12 @@ type Live struct {
 	wireRuns sync.Pool
 
 	srcSeq atomic.Uint64
+	// srcMu makes Inject's route-then-enqueue atomic against Reconfigure
+	// switching the source table and sending the first PROPAGATE: a tuple
+	// routed with the old table must reach its instance before that
+	// instance's PROPAGATE, or it would run after the key's state had
+	// migrated away and recreate the state at the old owner.
+	srcMu sync.RWMutex
 }
 
 // message is the single envelope an executor's mailbox carries: data
@@ -602,14 +608,19 @@ func (l *Live) Inject(t topology.Tuple) error {
 		key = t.Field(l.cfg.SourceKeyField)
 		keyOp = srcOp
 	}
-	inst := l.cfg.SourcePolicy.Route(key, -1, l.srcSeq.Add(1))
+	// Backpressure blocks before srcMu is taken, so a parked injector
+	// never holds up a reconfiguration.
 	l.inflight.incExternal()
+	l.srcMu.RLock()
+	inst := l.cfg.SourcePolicy.Route(key, -1, l.srcSeq.Add(1))
 	// A concurrent Stop may close the mailbox between the stopped check
 	// above and the enqueue (or the routed instance may live on a killed
 	// server); the rejected put must roll the in-flight counter back, or
 	// Drain/waitZero would wait forever on a tuple that was never
 	// accepted.
-	if !l.execs[srcOp][inst].box.put(message{kind: msgData, tuple: t, keyOp: keyOp, key: key}) {
+	ok := l.execs[srcOp][inst].box.put(message{kind: msgData, tuple: t, keyOp: keyOp, key: key})
+	l.srcMu.RUnlock()
+	if !ok {
 		l.inflight.dec()
 		return fmt.Errorf("engine: inject rejected: instance %s[%d] is stopped or dead", srcOp, inst)
 	}
@@ -804,7 +815,9 @@ func (l *Live) Reconfigure(plan ReconfigPlan) error {
 
 	// The manager-side router for the external source hop switches now,
 	// before the first PROPAGATE, mirroring the manager triggering the
-	// first PO.
+	// first PO. Both happen under srcMu, so every tuple Inject routed
+	// with the old table is already queued ahead of the PROPAGATE.
+	l.srcMu.Lock()
 	if table, ok := plan.Tables[l.topo.Source()]; ok {
 		if tf, ok := l.cfg.SourcePolicy.(*routing.TableFields); ok {
 			tf.Update(table)
@@ -819,6 +832,7 @@ func (l *Live) Reconfigure(plan ReconfigPlan) error {
 			}
 		}
 	}
+	l.srcMu.Unlock()
 
 	// Step 6 happens inside the executors; wait for full completion.
 	done.Wait()
